@@ -92,11 +92,15 @@ fn bench_fig9_sweep(c: &mut Criterion) {
 }
 
 fn bench_async_des(c: &mut Criterion) {
-    use pb_orchestra::des::simulate_async_cycle;
+    use pb_orchestra::des::simulate_async_cycle_memoized;
     let server = presets::cloud_server(ServiceKind::Cnn, 10);
+    let telemetry = Telemetry::disabled();
     c.bench_function("des_async_cycle_180_clients", |b| {
         let mut rng = seeded_rng(3);
-        b.iter(|| black_box(simulate_async_cycle(180, &server, &mut rng).server_energy))
+        b.iter(|| {
+            let r = simulate_async_cycle_memoized(180, &server, &mut rng, &telemetry, None, None);
+            black_box(r.server_energy)
+        })
     });
 }
 

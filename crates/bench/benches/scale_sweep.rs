@@ -2,7 +2,7 @@
 //! at 10⁴, 10⁵ and 10⁶ clients on all three backends.
 //!
 //! The columnar fleet state, run-length-encoded allocation and
-//! calendar-queue DES exist to make this workload tractable; the bench
+//! shape-memoized DES replay exist to make this workload tractable; the bench
 //! records clients/sec per (backend, population) into
 //! `BENCH_scale.json` at the repository root and asserts that every
 //! point is **bit-identical** across worker counts 1, 2 and N — the

@@ -11,7 +11,7 @@
 
 use pb_bench::{emit, Args};
 use pb_orchestra::allocator::allocate;
-use pb_orchestra::des::simulate_async_cycle;
+use pb_orchestra::des::simulate_async_cycle_memoized;
 use pb_orchestra::loss::LossModel;
 use pb_orchestra::prelude::*;
 use pb_orchestra::report::TextTable;
@@ -34,11 +34,12 @@ fn main() {
         "async_mean_latency_s",
         "async_peak_queue",
     ]);
+    let disabled = Telemetry::disabled();
     for n in [10usize, 60, 120, 180] {
         let allocation = allocate(n, &server, FillPolicy::PackSlots, None);
         let slotted = servers_cycle_energy(&server, &allocation, &LossModel::NONE);
         let mut rng = seeded_rng(args.get("seed", 42u64));
-        let a = simulate_async_cycle(n, &server, &mut rng);
+        let a = simulate_async_cycle_memoized(n, &server, &mut rng, &disabled, None, None);
         t.row(vec![
             n.to_string(),
             format!("{:.0}", slotted.value()),

@@ -3,26 +3,23 @@
 //! Per-client simulation state used to live in `Vec`s of structs and
 //! enums scattered across the fault machinery; at fleet sizes of 10⁵–10⁶
 //! clients those allocations and their pointer-chasing dominate a sweep
-//! point. [`FleetColumns`] keeps the per-client state as four flat
-//! buffers — phase, transfer attempts, fault-stream cursor (`u32`) and a
-//! fault-energy surcharge (`f64`) — that batched operations chunk over
-//! with a **deterministic chunk plan**: chunk boundaries are a pure
-//! function of the column length ([`FleetColumns::CHUNK`]-sized pieces),
-//! never of the worker count, so the persistent work-stealing pool can
-//! execute them in any order while integer reductions stay bit-identical
-//! across `RAYON_NUM_THREADS` ∈ {1, 2, N}.
+//! point. [`FleetColumns`] keeps each client's drawn class as one flat
+//! `u32` phase column that batched operations chunk over with a
+//! **deterministic chunk plan**: chunk boundaries are a pure function of
+//! the column length ([`FleetColumns::CHUNK`]-sized pieces), never of
+//! the worker count, so the persistent work-stealing pool can execute
+//! them in any order while integer reductions stay bit-identical across
+//! `RAYON_NUM_THREADS` ∈ {1, 2, N}.
 //!
-//! The columns never touch RNG streams: [`FleetColumns::draw`] consumes
-//! the point's fault stream in exactly the order the old
-//! `Vec<ClientClass>` population draw did (pinned by the fault-replay
-//! suite), and the cursor column merely *records* how many draws each
-//! client consumed, giving replay tooling a per-client offset into the
-//! fault stream.
+//! [`FleetColumns::draw`] consumes the point's fault stream in exactly
+//! the order the old `Vec<ClientClass>` population draw did (pinned by
+//! the fault-replay suite). The backends draw the column only when the
+//! plan can brown out or drop a client; otherwise every client is an
+//! uploader and no column is allocated.
 
 use crate::faults::{ClientClass, FaultPlan};
 use pb_telemetry::Telemetry;
-use pb_units::Joules;
-use rand::{Rng, RngCore};
+use rand::Rng;
 use rayon::prelude::*;
 
 /// Encodes a [`ClientClass`] into its phase-column representation.
@@ -80,25 +77,12 @@ impl<'a> ClassView<'a> {
     }
 }
 
-/// Struct-of-arrays per-client fleet state for one faulted cycle.
-///
-/// One row per *active* client, in client-index order (the same order
-/// the fault stream is consumed in):
-///
-/// * `phase` — the drawn [`ClientClass`], encoded;
-/// * `attempts` — transfer attempts resolved for the client (0 until its
-///   transfer is resolved; 1 = first try succeeded; retries beyond the
-///   first show up as `attempts − 1`);
-/// * `cursor` — fault-stream draws the client consumed (classification
-///   plus transfer resolution), i.e. its offset width in the stream;
-/// * `energy` — per-client fault-energy surcharge in joules (filled by
-///   [`FleetColumns::fill_retry_energy`]).
+/// Columnar per-client fleet state for one faulted cycle: the drawn
+/// [`ClientClass`] of every *active* client, encoded, in client-index
+/// order (the same order the fault stream is consumed in).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FleetColumns {
     phase: Vec<u32>,
-    attempts: Vec<u32>,
-    cursor: Vec<u32>,
-    energy: Vec<f64>,
 }
 
 impl FleetColumns {
@@ -110,35 +94,23 @@ impl FleetColumns {
     /// Draws every client's class for the cycle, in client-index order,
     /// from the point's fault stream — byte-for-byte the same draw
     /// sequence as the historical `Vec<ClientClass>` population draw
-    /// (zero probabilities consume no RNG), now recorded columnar.
+    /// (zero probabilities consume no RNG).
     pub fn draw<R: Rng + ?Sized>(plan: &FaultPlan, active: usize, rng: &mut R) -> FleetColumns {
         let p_brown = plan.brownout.map_or(0.0, |b| b.probability);
         let p_sensor = plan.sensor_dropout;
-        let mut cols = FleetColumns {
-            phase: Vec::with_capacity(active),
-            attempts: vec![0; active],
-            cursor: Vec::with_capacity(active),
-            energy: vec![0.0; active],
-        };
-        for _ in 0..active {
-            let mut draws = 0u32;
-            let class = if p_brown > 0.0 && {
-                draws += 1;
-                rng.gen::<f64>() < p_brown
-            } {
-                ClientClass::Brownout
-            } else if p_sensor > 0.0 && {
-                draws += 1;
-                rng.gen::<f64>() < p_sensor
-            } {
-                ClientClass::SensorDropout
-            } else {
-                ClientClass::Uploader
-            };
-            cols.phase.push(encode(class));
-            cols.cursor.push(draws);
-        }
-        cols
+        let phase = (0..active)
+            .map(|_| {
+                let class = if p_brown > 0.0 && rng.gen::<f64>() < p_brown {
+                    ClientClass::Brownout
+                } else if p_sensor > 0.0 && rng.gen::<f64>() < p_sensor {
+                    ClientClass::SensorDropout
+                } else {
+                    ClientClass::Uploader
+                };
+                encode(class)
+            })
+            .collect();
+        FleetColumns { phase }
     }
 
     /// Number of clients (rows).
@@ -187,83 +159,6 @@ impl FleetColumns {
             })
             .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
     }
-
-    /// Records the resolved transfer of client `i`: its attempt count
-    /// and how many further fault-stream draws the resolution consumed.
-    pub fn record_transfer(&mut self, i: usize, attempts: u64, draws: u32) {
-        self.attempts[i] = attempts.min(u32::MAX as u64) as u32;
-        self.cursor[i] = self.cursor[i].saturating_add(draws);
-    }
-
-    /// Transfer attempts recorded for client `i`.
-    pub fn attempts(&self, i: usize) -> u32 {
-        self.attempts[i]
-    }
-
-    /// Fault-stream draws client `i` consumed (classification plus
-    /// transfer resolution).
-    pub fn cursor(&self, i: usize) -> u32 {
-        self.cursor[i]
-    }
-
-    /// Per-client fault-energy surcharge.
-    pub fn energy(&self, i: usize) -> f64 {
-        self.energy[i]
-    }
-
-    /// Total retries across the fleet (attempts beyond each client's
-    /// first), reduced chunk-wise over the pool.
-    pub fn total_retries(&self) -> u64 {
-        if self.attempts.is_empty() {
-            return 0;
-        }
-        self.attempts
-            .par_chunks(Self::CHUNK)
-            .map(|chunk| chunk.iter().map(|&a| u64::from(a.saturating_sub(1))).sum::<u64>())
-            .reduce(|| 0, |a, b| a + b)
-    }
-
-    /// Total transfer attempts across the fleet, reduced chunk-wise over
-    /// the pool (clients whose transfer never resolved contribute 0).
-    pub fn total_attempts(&self) -> u64 {
-        if self.attempts.is_empty() {
-            return 0;
-        }
-        self.attempts
-            .par_chunks(Self::CHUNK)
-            .map(|chunk| chunk.iter().map(|&a| u64::from(a)).sum::<u64>())
-            .reduce(|| 0, |a, b| a + b)
-    }
-
-    /// Sum of the energy column, reduced chunk-wise over the pool. The
-    /// chunk plan (and the shim's in-order partial combine) is a pure
-    /// function of the column length, so the floating-point result is
-    /// bit-identical at any thread count.
-    pub fn energy_total(&self) -> Joules {
-        if self.energy.is_empty() {
-            return Joules::ZERO;
-        }
-        Joules(
-            self.energy
-                .par_chunks(Self::CHUNK)
-                .map(|chunk| chunk.iter().sum::<f64>())
-                .reduce(|| 0.0, |a, b| a + b),
-        )
-    }
-
-    /// Fills the energy column from the attempts column: client `i` pays
-    /// `(attempts − 1) · per_retry`. Elementwise (no cross-client
-    /// reduction), executed as an order-preserving parallel map over the
-    /// deterministic chunk plan.
-    pub fn fill_retry_energy(&mut self, per_retry: Joules) {
-        let per = per_retry.value();
-        self.energy = self
-            .attempts
-            .par_iter()
-            .with_min_len(Self::CHUNK)
-            .map(|&a| f64::from(a.saturating_sub(1)) * per)
-            .collect();
-    }
 }
 
 /// Columnar record of one server's *resolved* transfers: effective
@@ -275,7 +170,7 @@ impl FleetColumns {
 /// sorted wake-up instant — the rows are already time-ordered) and
 /// **divergent** ones (retries pushed the client to a later, unordered
 /// instant). Merging the sorted clean run with the sorted divergent
-/// tail reproduces the calendar queue's exact `(time, push index)` pop
+/// tail reproduces the exact loop's `(time, push index)` pop
 /// order in O(m + d log d) for `d` divergent clients, instead of
 /// re-sorting all m rows — and instead of running the event loop at
 /// all.
@@ -326,7 +221,7 @@ impl TransferColumns {
         self.t_eff.iter().zip(&self.client).map(|(&t, &c)| (t, c as usize)).collect()
     }
 
-    /// The rows in calendar *pop* order — time ascending, ties in push
+    /// The rows in event-queue *pop* order — time ascending, ties in push
     /// order — as separate time and client columns (the shape the DES
     /// replay consumes), via the clean/divergent merge described on
     /// the type.
@@ -344,7 +239,7 @@ impl TransferColumns {
         }
         // Clean rows inherit the arrival sort; only the divergent tail
         // needs ordering. The sort key (time, push index) matches the
-        // calendar queue's (time, seq) tie-break exactly.
+        // exact loop's (time, seq) tie-break exactly.
         divergent.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut times: Vec<f64> = Vec::with_capacity(m);
         let mut clients: Vec<u32> = Vec::with_capacity(m);
@@ -389,43 +284,6 @@ pub(crate) fn publish_columns(telemetry: &Telemetry, columns: &FleetColumns) {
     }
 }
 
-/// Wraps an RNG and counts the draws passing through, so per-client
-/// fault-stream consumption can be recorded into the cursor column
-/// without touching the stream itself.
-pub(crate) struct CountingRng<'a, R: RngCore + ?Sized> {
-    inner: &'a mut R,
-    draws: u32,
-}
-
-impl<'a, R: RngCore + ?Sized> CountingRng<'a, R> {
-    /// Wraps `inner`, starting the draw count at zero.
-    pub(crate) fn new(inner: &'a mut R) -> Self {
-        CountingRng { inner, draws: 0 }
-    }
-
-    /// Draws counted so far.
-    pub(crate) fn draws(&self) -> u32 {
-        self.draws
-    }
-}
-
-impl<R: RngCore + ?Sized> RngCore for CountingRng<'_, R> {
-    fn next_u32(&mut self) -> u32 {
-        self.draws = self.draws.saturating_add(1);
-        self.inner.next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.draws = self.draws.saturating_add(1);
-        self.inner.next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.draws = self.draws.saturating_add(1);
-        self.inner.fill_bytes(dest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,7 +304,8 @@ mod tests {
         // The columnar draw must consume the fault stream exactly like
         // the historical per-client enum draw.
         let plan = mixed_plan();
-        let cols = FleetColumns::draw(&plan, 500, &mut StdRng::seed_from_u64(9));
+        let mut stream = StdRng::seed_from_u64(9);
+        let cols = FleetColumns::draw(&plan, 500, &mut stream);
         let mut rng = StdRng::seed_from_u64(9);
         let reference: Vec<ClientClass> = (0..500)
             .map(|_| {
@@ -463,11 +322,9 @@ mod tests {
         for (i, want) in reference.iter().enumerate() {
             assert_eq!(cols.class(i), *want, "client {i}");
         }
-        // Cursor: brown-outs consumed one draw, everyone else two.
-        for i in 0..cols.len() {
-            let want = if cols.class(i) == ClientClass::Brownout { 1 } else { 2 };
-            assert_eq!(cols.cursor(i), want, "client {i}");
-        }
+        // Brown-outs consumed one draw, everyone else two: the stream is
+        // left exactly where the reference left it.
+        assert_eq!(stream.gen::<u64>(), rng.gen::<u64>());
     }
 
     #[test]
@@ -478,7 +335,6 @@ mod tests {
         let cols = FleetColumns::draw(&FaultPlan::NONE, 100, &mut rng);
         assert_eq!(rng.next_u64(), before, "no RNG consumed");
         assert!(cols.classes().iter().all(|c| c == ClientClass::Uploader));
-        assert!((0..cols.len()).all(|i| cols.cursor(i) == 0));
     }
 
     #[test]
@@ -518,42 +374,10 @@ mod tests {
     }
 
     #[test]
-    fn transfer_records_flow_into_retries_and_energy() {
-        let mut cols = FleetColumns::draw(&FaultPlan::NONE, 4, &mut StdRng::seed_from_u64(1));
-        cols.record_transfer(0, 1, 0); // clean first try
-        cols.record_transfer(1, 3, 5); // two retries, five stream draws
-        cols.record_transfer(2, 4, 6);
-        // Client 3 never resolves (e.g. brown-out): attempts stay 0.
-        assert_eq!(cols.attempts(1), 3);
-        assert_eq!(cols.cursor(1), 5);
-        assert_eq!(cols.total_retries(), 5, "two retries plus three, none elsewhere");
-        assert_eq!(cols.total_attempts(), 8);
-        cols.fill_retry_energy(Joules(10.0));
-        assert_eq!(cols.energy(0), 0.0);
-        assert_eq!(cols.energy(1), 20.0);
-        assert_eq!(cols.energy(2), 30.0);
-        assert_eq!(cols.energy(3), 0.0);
-        assert_eq!(cols.energy_total(), Joules(50.0));
-    }
-
-    #[test]
-    fn counting_rng_is_transparent() {
-        let mut a = StdRng::seed_from_u64(5);
-        let mut b = StdRng::seed_from_u64(5);
-        let mut counted = CountingRng::new(&mut a);
-        let x: f64 = counted.gen();
-        let y: f64 = counted.gen();
-        assert!(counted.draws() >= 2);
-        assert_eq!((x, y), (b.gen::<f64>(), b.gen::<f64>()));
-        // The wrapped stream continues where the wrapper left off.
-        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-    }
-
-    #[test]
     fn pop_order_merge_matches_a_stable_sort() {
         // Clean rows keep a sorted time column; divergent rows scatter.
         // The merge must equal a stable sort of all rows by time (stable
-        // sort preserves push order at ties — the calendar tie-break).
+        // sort preserves push order at ties — the event-queue tie-break).
         let mut cols = TransferColumns::with_capacity(8);
         let mut rng = StdRng::seed_from_u64(3);
         let mut t = 0.0;
@@ -589,7 +413,6 @@ mod tests {
         let cols = FleetColumns::default();
         assert!(cols.is_empty());
         assert_eq!(cols.class_counts(), (0, 0));
-        assert_eq!(cols.total_retries(), 0);
         assert_eq!(cols.chunk_count(), 0);
     }
 }

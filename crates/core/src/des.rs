@@ -10,7 +10,6 @@
 //! so the slotted and asynchronous designs can be compared head-to-head
 //! (`ablation_async` binary).
 
-use crate::calendar::{BucketModel, CalendarQueue, EventKey};
 use crate::columns::{ClassView, TransferColumns};
 use crate::faults::{
     emit_brownout_fallback, emit_delivered, emit_sample, exact_transfer, ClientClass, FaultPlan,
@@ -21,7 +20,8 @@ use pb_telemetry::trace::{trace_id, SpanCtx, HOP_ARRIVAL, HOP_PROCESS, HOP_TRANS
 use pb_telemetry::Telemetry;
 use pb_units::{Joules, Seconds, Watts};
 use rand::Rng;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Outcome of one asynchronous cycle.
 #[derive(Clone, Debug)]
@@ -53,37 +53,6 @@ enum Event {
     TransferDone { client: usize },
     /// The processor finishes a client's job.
     ProcessDone { client: usize },
-}
-
-/// Simulates one unsynchronized cycle: `n_clients` wake uniformly at
-/// random in `[0, cycle)`, each uploads for the server's receive window
-/// (at most `max_parallel` concurrent uploads; FIFO waiting), and jobs are
-/// processed one at a time for `process_duration` each.
-///
-/// Energy model (matching the slotted accounting): idle power over the
-/// whole horizon, plus the receive-power *delta* while ≥ 1 upload is
-/// active, plus the process-power delta while the processor is busy.
-pub fn simulate_async_cycle<R: Rng + ?Sized>(
-    n_clients: usize,
-    server: &ServerModel,
-    rng: &mut R,
-) -> AsyncCycleReport {
-    simulate_async_cycle_traced(n_clients, server, rng, &Telemetry::disabled())
-}
-
-/// [`simulate_async_cycle`] with observability: event counts by type
-/// (`des.events.*`), the peak uplink queue depth (`des.queue_depth.peak`
-/// gauge), the horizon histogram (`des.cycle.horizon_s`), and — when the
-/// sink keeps events — one sim-time-stamped trace record per simulation
-/// event plus a `des.cycle_done` summary. Telemetry never touches the
-/// RNG, so results are bit-identical to the untraced call.
-pub fn simulate_async_cycle_traced<R: Rng + ?Sized>(
-    n_clients: usize,
-    server: &ServerModel,
-    rng: &mut R,
-    telemetry: &Telemetry,
-) -> AsyncCycleReport {
-    simulate_async_cycle_causal(n_clients, server, rng, telemetry, None)
 }
 
 /// Causal-tagging context for one DES server job: where this server's
@@ -163,26 +132,29 @@ fn repeated_sum(value: f64, m: usize) -> f64 {
     sum
 }
 
-/// [`simulate_async_cycle_traced`] with causal span tags: each client
-/// gets a root `trace.sample` span at its arrival instant, the
-/// `des.{arrival,transfer_done,process_done}` hops chain under it, and
-/// a terminal `trace.delivered` span lands at the client's processing
-/// completion. Results are bit-identical to the untagged call.
-pub fn simulate_async_cycle_causal<R: Rng + ?Sized>(
-    n_clients: usize,
-    server: &ServerModel,
-    rng: &mut R,
-    telemetry: &Telemetry,
-    causal: Option<&DesTrace>,
-) -> AsyncCycleReport {
-    simulate_async_cycle_memoized(n_clients, server, rng, telemetry, causal, None)
-}
-
-/// [`simulate_async_cycle_causal`] with a [`ShapeMemo`]: when the
-/// caller simulates many servers of identical shape (the engine's
-/// normal fan-out), the memo supplies the shape's repeated-addition
-/// constants so each replayed trajectory skips re-folding them. Results
-/// are bit-identical with or without the memo.
+/// Simulates one unsynchronized cycle: `n_clients` wake uniformly at
+/// random in `[0, cycle)`, each uploads for the server's receive window
+/// (at most `max_parallel` concurrent uploads; FIFO waiting), and jobs are
+/// processed one at a time for `process_duration` each.
+///
+/// Energy model (matching the slotted accounting): idle power over the
+/// whole horizon, plus the receive-power *delta* while ≥ 1 upload is
+/// active, plus the process-power delta while the processor is busy.
+///
+/// Observability: event counts by type (`des.events.*`), the peak uplink
+/// queue depth (`des.queue_depth.peak` gauge), the horizon histogram
+/// (`des.cycle.horizon_s`), and — when the sink keeps events — one
+/// sim-time-stamped trace record per simulation event plus a
+/// `des.cycle_done` summary. With a [`DesTrace`] and an active tracing
+/// flag, each client gets a root `trace.sample` span at its arrival
+/// instant, the `des.{arrival,transfer_done,process_done}` hops chain
+/// under it, and a terminal `trace.delivered` span lands at its
+/// processing completion. A [`ShapeMemo`] supplies the repeated-addition
+/// constants of the caller's server shapes. Neither telemetry nor the
+/// memo touches the RNG: results are bit-identical with or without them.
+///
+/// This is the all-uploader, fault-free case of
+/// [`simulate_async_cycle_faulted`]: no class column, no pre-pass.
 pub fn simulate_async_cycle_memoized<R: Rng + ?Sized>(
     n_clients: usize,
     server: &ServerModel,
@@ -191,66 +163,10 @@ pub fn simulate_async_cycle_memoized<R: Rng + ?Sized>(
     causal: Option<&DesTrace>,
     memo: Option<&ShapeMemo>,
 ) -> AsyncCycleReport {
-    let cycle = server.cycle.value();
-    let mut arrivals: Vec<f64> = (0..n_clients).map(|_| rng.gen_range(0.0..cycle)).collect();
-    sort_arrival_times(&mut arrivals);
-    let tag = causal.filter(|_| telemetry.tracing_active());
-    let out = if fast_path_eligible(telemetry, tag.is_some(), server) {
-        // Sorted fault-free arrivals are already in pop order with
-        // client i at position i — no entry list needed.
-        replay_core(n_clients, &arrivals, None, server, memo)
-    } else {
-        let entries: Vec<(f64, usize)> =
-            arrivals.iter().enumerate().map(|(client, &t)| (t, client)).collect();
-        let links: Option<Vec<Option<SpanCtx>>> = tag.map(|dt| {
-            entries
-                .iter()
-                .map(|&(t, client)| {
-                    let tid = trace_id(dt.point_seed, (dt.base + client) as u64);
-                    emit_sample(telemetry, t, tid, (dt.base + client) as u64, "uploader");
-                    Some(SpanCtx::root(tid))
-                })
-                .collect()
-        });
-        exact_event_loop(n_clients, &entries, server, telemetry, links.as_deref())
-    };
-    if let Some(dt) = tag {
-        for client in 0..n_clients {
-            let t_done = out.completion[client];
-            let global = (dt.base + client) as u64;
-            let tid = trace_id(dt.point_seed, global);
-            emit_delivered(telemetry, t_done, tid, global, 1, dt.deliver_energy_j);
-        }
-    }
-
-    let horizon = out.last_time.max(cycle);
-    let server_energy = energy_over(server, horizon, out.receive_busy, out.process_busy);
-    // Client-order latency accumulation, same fold order as the
-    // historical intermediate `Vec` (sum first, then a 0-seeded max).
-    let mut lat_sum = 0.0f64;
-    let mut max_latency = 0.0f64;
-    for (c, a) in out.completion.iter().zip(&arrivals) {
-        let l = c - a;
-        lat_sum += l;
-        max_latency = max_latency.max(l);
-    }
-    let mean_latency = if n_clients > 0 { lat_sum / n_clients as f64 } else { 0.0 };
-
-    flush_telemetry(telemetry, n_clients, &out, horizon, server_energy);
-
-    AsyncCycleReport {
-        n_clients,
-        horizon: Seconds(horizon),
-        server_energy,
-        receive_busy: Seconds(out.receive_busy),
-        process_busy: Seconds(out.process_busy),
-        mean_latency: Seconds(mean_latency),
-        max_latency: Seconds(max_latency),
-        peak_queue: out.peak_queue,
-    }
+    run_cycle(n_clients, server, rng, None::<FaultInputs<'_, R>>, telemetry, causal, memo).report
 }
 
-/// [`simulate_async_cycle_traced`] under a [`FaultPlan`]: every client
+/// [`simulate_async_cycle_memoized`] under a [`FaultPlan`]: every client
 /// still wakes at a uniform random instant (the same arrival stream as
 /// the fault-free run, bit for bit), but its participation follows its
 /// drawn [`ClientClass`] — browned-out and sensor-dropped clients never
@@ -275,30 +191,77 @@ pub fn simulate_async_cycle_faulted<R: Rng + ?Sized, F: Rng + ?Sized>(
     memo: Option<&ShapeMemo>,
 ) -> FaultedAsyncReport {
     assert_eq!(classes.len(), n_clients, "one class per client");
-    let cycle = server.cycle.value();
-    let mut arrivals: Vec<f64> = (0..n_clients).map(|_| rng.gen_range(0.0..cycle)).collect();
-    sort_arrival_times(&mut arrivals);
+    let faults = FaultInputs { plan, rng: fault_rng, classes: Some(classes) };
+    run_cycle(n_clients, server, rng, Some(faults), telemetry, causal, memo)
+}
 
-    let tag = causal.filter(|_| telemetry.tracing_active());
-    let mut attempts = 0u64;
-    let mut retries = 0u64;
-    let mut fallbacks = 0u64;
-    // Columnar fault pre-pass: resolved transfers land as flat columns
-    // (effective time, client, attempt count) so the fast path can
-    // partition clean first-attempt deliveries from divergent retried
-    // ones without re-walking per-client structs.
-    let mut cols = TransferColumns::with_capacity(n_clients);
-    // Per local client: the span its network hops chain under (the
-    // successful attempt), plus the delivered set's attempt counts for
-    // the terminal spans emitted after the loop.
-    let mut links: Vec<Option<SpanCtx>> =
-        if tag.is_some() { vec![None; n_clients] } else { vec![] };
-    let mut delivered_tags: Vec<(usize, u64, u64)> = Vec::new();
+/// [`simulate_async_cycle_faulted`]'s outcome: the cycle report plus the
+/// server's share of the fault accounting.
+#[derive(Clone, Debug)]
+pub struct FaultedAsyncReport {
+    /// The usual asynchronous-cycle report (latency over delivered
+    /// clients only).
+    pub report: AsyncCycleReport,
+    /// Transfer attempts made by this server's uploaders.
+    pub attempts: u64,
+    /// Attempts beyond each uploader's first.
+    pub retries: u64,
+    /// Uploads that reached the server.
+    pub delivered: u64,
+    /// Clients that fell back to edge inference (brown-outs plus
+    /// exhausted retry budgets).
+    pub fallbacks: u64,
+}
+
+/// The fault side of one server's cycle: the plan, the server's fault
+/// stream and its clients' classes.
+pub(crate) struct FaultInputs<'a, F: ?Sized> {
+    pub(crate) plan: &'a FaultPlan,
+    pub(crate) rng: &'a mut F,
+    /// Per-client classes; `None` when every client is an uploader.
+    pub(crate) classes: Option<ClassView<'a>>,
+}
+
+/// The fault pre-pass over one server's clients: resolved transfers as
+/// flat columns (effective time, client, attempt count), so the fast
+/// path can partition clean first-attempt deliveries from divergent
+/// retried ones without re-walking per-client structs.
+struct Resolved {
+    cols: TransferColumns,
+    /// Per local client: the span its network hops chain under (the
+    /// successful attempt); empty when untagged.
+    links: Vec<Option<SpanCtx>>,
+    /// The delivered set's `(client, trace id, attempts)`, for the
+    /// terminal spans emitted after the loop; empty when untagged.
+    delivered_tags: Vec<(usize, u64, u64)>,
+    attempts: u64,
+    retries: u64,
+    fallbacks: u64,
+}
+
+/// Resolves every client's class and transfer in client (= sorted
+/// arrival) order, consuming the fault stream exactly once per draw.
+fn resolve_transfers<F: Rng + ?Sized>(
+    arrivals: &[f64],
+    faults: FaultInputs<'_, F>,
+    telemetry: &Telemetry,
+    tag: Option<&DesTrace>,
+) -> Resolved {
+    let n_clients = arrivals.len();
+    let FaultInputs { plan, rng, classes } = faults;
+    let mut r = Resolved {
+        cols: TransferColumns::with_capacity(n_clients),
+        links: if tag.is_some() { vec![None; n_clients] } else { vec![] },
+        delivered_tags: Vec::new(),
+        attempts: 0,
+        retries: 0,
+        fallbacks: 0,
+    };
     for (client, &t) in arrivals.iter().enumerate() {
         let tid = tag.map(|dt| trace_id(dt.point_seed, (dt.base + client) as u64));
-        match classes.get(client) {
+        match classes.map_or(ClientClass::Uploader, |c| c.get(client)) {
             ClientClass::Brownout => {
-                fallbacks += 1;
+                r.fallbacks += 1;
                 if let (Some(dt), Some(tid)) = (tag, tid) {
                     let global = (dt.base + client) as u64;
                     emit_sample(telemetry, t, tid, global, "brownout");
@@ -321,63 +284,111 @@ pub fn simulate_async_cycle_faulted<R: Rng + ?Sized, F: Rng + ?Sized>(
                         fallback_energy_j: dt.fallback_energy_j,
                     }
                 });
-                let (a, success) =
-                    exact_transfer(plan, Seconds(t), fault_rng, telemetry, tc.as_ref());
-                attempts += a;
-                retries += a - 1;
+                let (a, success) = exact_transfer(plan, Seconds(t), rng, telemetry, tc.as_ref());
+                r.attempts += a;
+                r.retries += a - 1;
                 match success {
                     Some(t_eff) => {
-                        cols.push(t_eff.value(), client, a);
+                        r.cols.push(t_eff.value(), client, a);
                         if let Some(tid) = tid {
-                            links[client] = Some(SpanCtx::attempt(tid, a as u32));
-                            delivered_tags.push((client, tid, a));
+                            r.links[client] = Some(SpanCtx::attempt(tid, a as u32));
+                            r.delivered_tags.push((client, tid, a));
                         }
                     }
-                    None => fallbacks += 1,
+                    None => r.fallbacks += 1,
                 }
             }
         }
     }
-    let delivered = cols.len() as u64;
-    // The replay needs entries in calendar *pop* order — (time, push
-    // index) — which the clean/divergent merge produces in O(m + d log d)
-    // for d divergent clients; the exact loop needs the original push
-    // order so its event sequence numbers stay bit-identical.
-    let out = if fast_path_eligible(telemetry, tag.is_some(), server) {
-        let (times, clients) = cols.pop_order_columns();
-        replay_core(n_clients, &times, Some(&clients), server, memo)
-    } else {
-        let entries = cols.push_order_entries();
-        exact_event_loop(
-            n_clients,
-            &entries,
-            server,
-            telemetry,
-            if tag.is_some() { Some(&links) } else { None },
-        )
+    r
+}
+
+/// The one DES cycle behind both public entries: arrival draw and sort,
+/// the optional fault pre-pass, replay or exact loop, energy and
+/// latency.
+///
+/// Without fault inputs every client uploads and lands on its first
+/// attempt at its wake-up instant, so no pre-pass runs: the sorted
+/// arrivals already are the pop order with client `i` at position `i`,
+/// and causal hops chain under each client's root span.
+pub(crate) fn run_cycle<R: Rng + ?Sized, F: Rng + ?Sized>(
+    n_clients: usize,
+    server: &ServerModel,
+    rng: &mut R,
+    faults: Option<FaultInputs<'_, F>>,
+    telemetry: &Telemetry,
+    causal: Option<&DesTrace>,
+    memo: Option<&ShapeMemo>,
+) -> FaultedAsyncReport {
+    let cycle = server.cycle.value();
+    let mut arrivals: Vec<f64> = (0..n_clients).map(|_| rng.gen_range(0.0..cycle)).collect();
+    sort_arrival_times(&mut arrivals);
+    let tag = causal.filter(|_| telemetry.tracing_active());
+    let fast = fast_path_eligible(telemetry, tag.is_some(), server);
+    let resolved = faults.map(|f| resolve_transfers(&arrivals, f, telemetry, tag));
+
+    // The replay needs entries in *pop* order — (time, push index) —
+    // which the clean/divergent merge produces in O(m + d log d) for d
+    // divergent clients; the exact loop needs the original push order so
+    // its event sequence numbers stay bit-identical.
+    let out = match &resolved {
+        None if fast => replay_core(n_clients, &arrivals, None, server, memo),
+        Some(r) if fast => {
+            let (times, clients) = r.cols.pop_order_columns();
+            replay_core(n_clients, &times, Some(&clients), server, memo)
+        }
+        None => {
+            let entries: Vec<(f64, usize)> =
+                arrivals.iter().enumerate().map(|(client, &t)| (t, client)).collect();
+            let links: Option<Vec<Option<SpanCtx>>> = tag.map(|dt| {
+                entries
+                    .iter()
+                    .map(|&(t, client)| {
+                        let tid = trace_id(dt.point_seed, (dt.base + client) as u64);
+                        emit_sample(telemetry, t, tid, (dt.base + client) as u64, "uploader");
+                        Some(SpanCtx::root(tid))
+                    })
+                    .collect()
+            });
+            exact_event_loop(n_clients, &entries, server, telemetry, links.as_deref())
+        }
+        Some(r) => {
+            let links = tag.map(|_| r.links.as_slice());
+            exact_event_loop(n_clients, &r.cols.push_order_entries(), server, telemetry, links)
+        }
     };
     if let Some(dt) = tag {
-        for &(client, tid, a) in &delivered_tags {
+        let terminal = |client: usize, tid: u64, attempts: u64| {
             let global = (dt.base + client) as u64;
-            emit_delivered(telemetry, out.completion[client], tid, global, a, dt.deliver_energy_j);
+            let t_done = out.completion[client];
+            emit_delivered(telemetry, t_done, tid, global, attempts, dt.deliver_energy_j);
+        };
+        match &resolved {
+            None => (0..n_clients)
+                .for_each(|c| terminal(c, trace_id(dt.point_seed, (dt.base + c) as u64), 1)),
+            Some(r) => r.delivered_tags.iter().for_each(|&(c, tid, a)| terminal(c, tid, a)),
         }
     }
+    let (delivered, attempts, retries, fallbacks) = match &resolved {
+        None => (n_clients as u64, n_clients as u64, 0, 0),
+        Some(r) => (r.cols.len() as u64, r.attempts, r.retries, r.fallbacks),
+    };
 
     let horizon = out.last_time.max(cycle);
     let server_energy = energy_over(server, horizon, out.receive_busy, out.process_busy);
-    // Latency from the *original* wake-up instant, over delivered
-    // clients only (the others never produce a server-side completion).
-    let latencies: Vec<f64> = out
-        .completion
-        .iter()
-        .zip(&arrivals)
-        .zip(classes.iter())
-        .filter(|((c, _), class)| *class == ClientClass::Uploader && **c > 0.0)
-        .map(|((c, a), _)| c - a)
-        .collect();
-    let mean_latency =
-        if delivered > 0 { latencies.iter().sum::<f64>() / delivered as f64 } else { 0.0 };
-    let max_latency = latencies.iter().copied().fold(0.0, f64::max);
+    // Latency from the wake-up instant, over delivered clients only (the
+    // others never produce a server-side completion), folded in client
+    // order.
+    let mut lat_sum = 0.0f64;
+    let mut max_latency = 0.0f64;
+    for (&c, a) in out.completion.iter().zip(&arrivals) {
+        if resolved.is_none() || c > 0.0 {
+            let l = c - a;
+            lat_sum += l;
+            max_latency = max_latency.max(l);
+        }
+    }
+    let mean_latency = if delivered > 0 { lat_sum / delivered as f64 } else { 0.0 };
 
     flush_telemetry(telemetry, n_clients, &out, horizon, server_energy);
 
@@ -399,24 +410,6 @@ pub fn simulate_async_cycle_faulted<R: Rng + ?Sized, F: Rng + ?Sized>(
     }
 }
 
-/// [`simulate_async_cycle_faulted`]'s outcome: the cycle report plus the
-/// server's share of the fault accounting.
-#[derive(Clone, Debug)]
-pub struct FaultedAsyncReport {
-    /// The usual asynchronous-cycle report (latency over delivered
-    /// clients only).
-    pub report: AsyncCycleReport,
-    /// Transfer attempts made by this server's uploaders.
-    pub attempts: u64,
-    /// Attempts beyond each uploader's first.
-    pub retries: u64,
-    /// Uploads that reached the server.
-    pub delivered: u64,
-    /// Clients that fell back to edge inference (brown-outs plus
-    /// exhausted retry budgets).
-    pub fallbacks: u64,
-}
-
 /// What the event loop measures; energy and latency are derived by the
 /// callers.
 struct LoopOutcome {
@@ -429,10 +422,6 @@ struct LoopOutcome {
     n_arrivals: u64,
     n_transfers: u64,
     n_processed: u64,
-    /// Highest calendar-queue occupancy the cycle reached.
-    peak_events: usize,
-    /// Calendar-queue bucket resizes the cycle performed.
-    queue_resizes: u64,
     /// Clients whose trajectory the shape-memoized fast path replayed
     /// (0 when the exact event loop ran).
     replayed: u64,
@@ -468,8 +457,6 @@ fn fast_path_eligible(telemetry: &Telemetry, tagged: bool, server: &ServerModel)
 struct ReplayScratch {
     finish: Vec<f64>,
     proc_end: Vec<f64>,
-    queued: Vec<bool>,
-    cpu_free: Vec<bool>,
     queued_starts: Vec<f64>,
 }
 
@@ -549,21 +536,13 @@ fn sort_arrival_times(times: &mut [f64]) {
     debug_assert!(times.windows(2).all(|w| w[0] <= w[1]));
 }
 
-/// The `i`-th value of a sorted event stream, `+inf` past the end (the
-/// block-skip merge in [`replay_core`] treats an exhausted stream as an
-/// event at the end of time).
-#[inline(always)]
-fn stream_at(v: &[f64], i: usize) -> f64 {
-    v.get(i).copied().unwrap_or(f64::INFINITY)
-}
-
 /// Bit-exact O(m) replay of [`exact_event_loop`].
 ///
 /// `times` holds the participating clients' effective arrival instants
-/// in calendar *pop* order (time ascending, ties in push order);
+/// in event-queue *pop* order (time ascending, ties in push order);
 /// `clients` maps pop position to client id, or `None` when position
 /// `i` *is* client `i` (the sorted fault-free case). In pop order the
-/// event loop's behaviour is a pure recurrence — no calendar queue
+/// event loop's behaviour is a pure recurrence — no event queue
 /// needed:
 ///
 /// * **Uplink**: client `i` (capacity `C`) starts its upload at
@@ -582,11 +561,6 @@ fn stream_at(v: &[f64], i: usize) -> f64 {
 /// * **Wait queue**: the waiting set at a queued arrival `aᵢ` is the
 ///   suffix of queued clients whose start is `≥ aᵢ` — a two-pointer
 ///   scan, since starts and arrivals are both monotone.
-/// * **Calendar telemetry**: the queue's occupancy peak and resize
-///   history are replayed through a [`BucketModel`] (see the sweep
-///   below). This runs even with telemetry disabled so enabling
-///   metrics never changes the work done (the overhead gate in
-///   `bench_telemetry_overhead` pins that).
 ///
 /// Simultaneous events of different kinds (an arrival at exactly a
 /// transfer-finish instant, etc.) are resolved Arrival < TransferDone <
@@ -608,16 +582,12 @@ fn replay_core(
 
     REPLAY_SCRATCH.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
-        let ReplayScratch { finish, proc_end, queued, cpu_free, queued_starts } = &mut *scratch;
+        let ReplayScratch { finish, proc_end, queued_starts } = &mut *scratch;
         finish.clear();
         proc_end.clear();
-        queued.clear();
-        cpu_free.clear();
         queued_starts.clear();
         finish.reserve(m);
         proc_end.reserve(m);
-        queued.reserve(m);
-        cpu_free.reserve(m);
 
         let mut receive_busy = 0.0f64;
         let mut peak_queue = 0usize;
@@ -635,7 +605,6 @@ fn replay_core(
             debug_assert!(i == 0 || times[i - 1] <= a, "replay entries must be in pop order");
             let (start, q) =
                 if i >= cap && finish[i - cap] >= a { (finish[i - cap], true) } else { (a, false) };
-            queued.push(q);
             let f = start + transfer;
             finish.push(f);
             if q {
@@ -655,11 +624,8 @@ fn replay_core(
             } else {
                 busy_end = f;
             }
-            // `free` is the loop's "CPU idle at this transfer-finish"
-            // test; recorded so the calendar replay below can look it
-            // up without re-deriving the float comparison.
+            // The loop's "CPU idle at this transfer-finish" test.
             let free = !(i > 0 && prev_proc_end > f);
-            cpu_free.push(free);
             let cpu_start = if free { f } else { prev_proc_end };
             prev_proc_end = cpu_start + process;
             proc_end.push(prev_proc_end);
@@ -691,89 +657,6 @@ fn replay_core(
             }
         };
 
-        // Replay the calendar queue's bookkeeping. The m batch arrival
-        // pushes are folded analytically by `seed_batch`: the occupancy
-        // peak is exactly m, since a client's transfer-done is pushed
-        // only at or after its arrival's pop and its process-done only
-        // at or after its transfer-done's pop, so the queue never holds
-        // more than one pending event per client. The pop sweep is a
-        // 3-way merge of the (each individually sorted) arrival /
-        // transfer-finish / process-finish streams.
-        //
-        // Pushes at each pop: an arrival pushes its transfer-done iff
-        // it starts immediately; a transfer-done hands the lane to the
-        // (cap)-later queued client and pushes its process-done iff the
-        // CPU is free; a process-done pushes the next process-done iff
-        // that one was waiting on the CPU.
-        //
-        // The merge runs block-skipped: while `safe_event_budget`
-        // proves no resize can fire, a whole block of the merge
-        // collapses to three linear scans up to a cutoff time τ (the
-        // per-event occupancy walk only moves `len`, which
-        // `skip_events` applies in one shot). τ is chosen a third of
-        // the budget into each stream, so each scan advances at most
-        // budget/3 positions and the block never exceeds the budget;
-        // `< τ` strictly keeps the cut time-consistent with the true
-        // merge order. Only near a resize boundary (or when τ yields
-        // no progress) does the sweep fall back to stepping single
-        // events through the branchy 3-way compare.
-        let mut model = BucketModel::with_hint(m, server.cycle.value());
-        model.seed_batch(m);
-        const STEP: usize = 32;
-        let (mut ai, mut ti, mut pi) = (0usize, 0usize, 0usize);
-        let mut remaining = 3 * m;
-        while remaining > 0 {
-            let budget = model.safe_event_budget().min(remaining);
-            if budget >= STEP {
-                let q = budget / 3;
-                let tau = stream_at(times, ai + q)
-                    .min(stream_at(finish, ti + q))
-                    .min(stream_at(proc_end, pi + q));
-                let (a0, t0, p0) = (ai, ti, pi);
-                let mut gained = 0usize;
-                while ai < m && times[ai] < tau {
-                    gained += !queued[ai] as usize;
-                    ai += 1;
-                }
-                while ti < m && finish[ti] < tau {
-                    gained += (ti + cap < m && queued[ti + cap]) as usize + cpu_free[ti] as usize;
-                    ti += 1;
-                }
-                while pi < m && proc_end[pi] < tau {
-                    gained += (pi + 1 < m && !cpu_free[pi + 1]) as usize;
-                    pi += 1;
-                }
-                let popped = (ai - a0) + (ti - t0) + (pi - p0);
-                if popped > 0 {
-                    model.skip_events(popped, gained);
-                    remaining -= popped;
-                    continue;
-                }
-                // τ made no progress (duplicate head times): step.
-            }
-            let steps = STEP.min(remaining);
-            for _ in 0..steps {
-                let ta = stream_at(times, ai);
-                let tt = stream_at(finish, ti);
-                let tp = stream_at(proc_end, pi);
-                // Ties resolve Arrival < TransferDone < ProcessDone,
-                // the loop's sequence-number order for every reachable
-                // tie.
-                if ta <= tt && ta <= tp {
-                    model.sweep_event(!queued[ai] as u8);
-                    ai += 1;
-                } else if tt <= tp {
-                    model
-                        .sweep_event((ti + cap < m && queued[ti + cap]) as u8 + cpu_free[ti] as u8);
-                    ti += 1;
-                } else {
-                    model.sweep_event((pi + 1 < m && !cpu_free[pi + 1]) as u8);
-                    pi += 1;
-                }
-            }
-            remaining -= steps;
-        }
-
         LoopOutcome {
             receive_busy,
             process_busy,
@@ -783,20 +666,44 @@ fn replay_core(
             n_arrivals: m as u64,
             n_transfers: m as u64,
             n_processed: m as u64,
-            peak_events: model.peak_len(),
-            queue_resizes: model.resizes(),
             replayed: m as u64,
         }
     })
 }
 
-/// The exact event-by-event loop (the historical hot path; now the
-/// recording/traced path and the fast path's reference).
-///
-/// Events are scheduled through a [`CalendarQueue`], which preserves the
-/// exact (time, seq) pop order of the `BinaryHeap` it replaced (pinned
-/// by the `calendar_parity` suite) while staying O(1) per operation at
-/// high occupancy.
+/// One scheduled event of the exact loop, keyed by `(time, seq)`: time
+/// via `f64::total_cmp`, ties broken by the scheduling sequence number
+/// so simultaneous events pop in the order they were pushed. The order
+/// is reversed so `BinaryHeap`, a max-heap, pops the earliest key first.
+struct Scheduled {
+    time: f64,
+    seq: u64,
+    event: Event,
+}
+
+impl Ord for Scheduled {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.time.total_cmp(&self.time).then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Scheduled {}
+
+/// The exact event-by-event loop (the recording/traced path and the fast
+/// path's reference), scheduling on a `BinaryHeap` of [`Scheduled`]
+/// events.
 fn exact_event_loop(
     n_clients: usize,
     entries: &[(f64, usize)],
@@ -809,19 +716,23 @@ fn exact_event_loop(
     let transfer = server.receive_duration.value();
     let process = server.process_duration.value();
 
-    // All arrivals land up front, so the entry count is the occupancy
-    // high-water mark and the cycle duration spans their times.
-    let mut events: CalendarQueue<Event> =
-        CalendarQueue::with_hint(entries.len(), server.cycle.value());
-    let mut seq = 0u64;
-    let mut push = |events: &mut CalendarQueue<Event>, time: f64, ev: Event| {
-        events.push(EventKey { time, seq }, ev);
+    // All arrivals land up front, heapified in one pass. Every client has
+    // at most one pending event at a time, so the heap never outgrows
+    // that first allocation.
+    let mut events: BinaryHeap<Scheduled> = entries
+        .iter()
+        .enumerate()
+        .map(|(seq, &(time, client))| Scheduled {
+            time,
+            seq: seq as u64,
+            event: Event::Arrival { client },
+        })
+        .collect();
+    let mut seq = entries.len() as u64;
+    let mut push = |events: &mut BinaryHeap<Scheduled>, time: f64, event: Event| {
+        events.push(Scheduled { time, seq, event });
         seq += 1;
     };
-
-    for &(t, client) in entries {
-        push(&mut events, t, Event::Arrival { client });
-    }
 
     let mut uplink_in_use = 0usize;
     let mut uplink_wait: VecDeque<usize> = VecDeque::new();
@@ -842,8 +753,7 @@ fn exact_event_loop(
     let mut n_transfers = 0u64;
     let mut n_processed = 0u64;
 
-    while let Some((key, ev)) = events.pop() {
-        let now = key.time;
+    while let Some(Scheduled { time: now, event: ev, .. }) = events.pop() {
         debug_assert!(now >= last_time, "event popped out of order: {now} after {last_time}");
         last_time = now;
         match ev {
@@ -952,8 +862,6 @@ fn exact_event_loop(
         n_arrivals,
         n_transfers,
         n_processed,
-        peak_events: events.peak_len(),
-        queue_resizes: events.resizes(),
         replayed: 0,
     }
 }
@@ -973,14 +881,12 @@ fn flush_telemetry(
     telemetry.add_to_counter("des.events.arrival", out.n_arrivals);
     telemetry.add_to_counter("des.events.transfer_done", out.n_transfers);
     telemetry.add_to_counter("des.events.process_done", out.n_processed);
-    telemetry.add_to_counter("des.queue.resizes", out.queue_resizes);
     if out.replayed > 0 {
         telemetry.add_to_counter("des.fastpath.replayed", out.replayed);
     }
     if let Some(r) = telemetry.registry() {
         r.gauge("des.queue_depth.peak").set_max(out.peak_queue as f64);
     }
-    telemetry.observe("des.queue.occupancy", out.peak_events as f64);
     telemetry.observe("des.cycle.horizon_s", horizon);
     if telemetry.events_recording() {
         telemetry.event(
@@ -1007,6 +913,16 @@ mod tests {
 
     fn server(cap: usize) -> ServerModel {
         presets::cloud_server(ServiceKind::Cnn, cap)
+    }
+
+    /// One fault-free cycle, reporting into `telemetry`.
+    fn traced(n: usize, srv: &ServerModel, rng: &mut StdRng, tel: &Telemetry) -> AsyncCycleReport {
+        simulate_async_cycle_memoized(n, srv, rng, tel, None, None)
+    }
+
+    /// One fault-free cycle with telemetry disabled (the replay path).
+    fn cycle(n: usize, srv: &ServerModel, rng: &mut StdRng) -> AsyncCycleReport {
+        traced(n, srv, rng, &Telemetry::disabled())
     }
 
     #[test]
@@ -1127,7 +1043,7 @@ mod tests {
     #[test]
     fn zero_clients_idle_cycle() {
         let mut rng = StdRng::seed_from_u64(1);
-        let r = simulate_async_cycle(0, &server(10), &mut rng);
+        let r = cycle(0, &server(10), &mut rng);
         assert_eq!(r.n_clients, 0);
         assert_eq!(r.horizon, Seconds(300.0));
         assert!((r.server_energy - Joules(44.6 * 300.0)).abs() < Joules(0.5));
@@ -1138,7 +1054,7 @@ mod tests {
     #[test]
     fn single_client_latency_is_transfer_plus_process() {
         let mut rng = StdRng::seed_from_u64(2);
-        let r = simulate_async_cycle(1, &server(10), &mut rng);
+        let r = cycle(1, &server(10), &mut rng);
         assert!((r.mean_latency - Seconds(16.0)).abs() < Seconds(1e-9));
         assert!((r.receive_busy - Seconds(15.0)).abs() < Seconds(1e-9));
         assert!((r.process_busy - Seconds(1.0)).abs() < Seconds(1e-9));
@@ -1150,7 +1066,7 @@ mod tests {
         // time ≥ 5×15 − overlaps-impossible = exactly the span of the busy
         // periods; worst latency ≥ 16 s.
         let mut rng = StdRng::seed_from_u64(3);
-        let r = simulate_async_cycle(5, &server(1), &mut rng);
+        let r = cycle(5, &server(1), &mut rng);
         assert!(r.receive_busy >= Seconds(75.0 - 1e-9));
         assert!(r.max_latency >= Seconds(16.0));
         assert!((r.process_busy - Seconds(5.0)).abs() < Seconds(1e-9));
@@ -1159,7 +1075,7 @@ mod tests {
     #[test]
     fn all_clients_complete_and_latency_bounds_hold() {
         let mut rng = StdRng::seed_from_u64(4);
-        let r = simulate_async_cycle(180, &server(10), &mut rng);
+        let r = cycle(180, &server(10), &mut rng);
         // Everyone processed: 180 × 1 s of CPU.
         assert!((r.process_busy - Seconds(180.0)).abs() < Seconds(1e-9));
         assert!(r.mean_latency >= Seconds(16.0 - 1e-9));
@@ -1169,8 +1085,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = simulate_async_cycle(100, &server(10), &mut StdRng::seed_from_u64(5));
-        let b = simulate_async_cycle(100, &server(10), &mut StdRng::seed_from_u64(5));
+        let a = cycle(100, &server(10), &mut StdRng::seed_from_u64(5));
+        let b = cycle(100, &server(10), &mut StdRng::seed_from_u64(5));
         assert!((a.server_energy - b.server_energy).abs() < Joules(1e-9));
         assert_eq!(a.peak_queue, b.peak_queue);
     }
@@ -1188,7 +1104,7 @@ mod tests {
         let allocation = allocate(180, &s, FillPolicy::PackSlots, None);
         let slotted = servers_cycle_energy(&s, &allocation, &LossModel::NONE);
         let mut rng = StdRng::seed_from_u64(6);
-        let async_r = simulate_async_cycle(180, &s, &mut rng);
+        let async_r = cycle(180, &s, &mut rng);
         assert!(
             slotted + Joules(5000.0) < async_r.server_energy,
             "slotted {slotted} vs async {}",
@@ -1202,7 +1118,7 @@ mod tests {
         // group's time slot. Mean latency ≈ 16 s versus up to a whole
         // cycle of slot wait in the synchronized design.
         let mut rng = StdRng::seed_from_u64(7);
-        let r = simulate_async_cycle(180, &server(10), &mut rng);
+        let r = cycle(180, &server(10), &mut rng);
         assert!(r.mean_latency < Seconds(40.0), "mean latency {}", r.mean_latency);
     }
 
@@ -1211,7 +1127,7 @@ mod tests {
         // 400 clients on capacity 2: the uplink is the bottleneck
         // (400×15/2 = 3000 s ≫ 300 s cycle) — queue builds, horizon spills.
         let mut rng = StdRng::seed_from_u64(8);
-        let r = simulate_async_cycle(400, &server(2), &mut rng);
+        let r = cycle(400, &server(2), &mut rng);
         assert!(r.peak_queue > 50, "peak queue {}", r.peak_queue);
         assert!(r.horizon > Seconds(2000.0));
     }
@@ -1221,8 +1137,8 @@ mod tests {
         let n = 120;
         let tel = Telemetry::enabled();
         let mut rng = StdRng::seed_from_u64(9);
-        let traced = simulate_async_cycle_traced(n, &server(10), &mut rng, &tel);
-        let plain = simulate_async_cycle(n, &server(10), &mut StdRng::seed_from_u64(9));
+        let traced = traced(n, &server(10), &mut rng, &tel);
+        let plain = cycle(n, &server(10), &mut StdRng::seed_from_u64(9));
         assert!((traced.server_energy - plain.server_energy).abs() < Joules(1e-12));
         assert_eq!(traced.peak_queue, plain.peak_queue);
 
@@ -1242,7 +1158,7 @@ mod tests {
         use pb_telemetry::json::{self, Json};
         let tel = Telemetry::enabled();
         let mut rng = StdRng::seed_from_u64(10);
-        let _ = simulate_async_cycle_traced(50, &server(5), &mut rng, &tel);
+        let _ = traced(50, &server(5), &mut rng, &tel);
         // 3 events per client + the cycle_done summary.
         assert_eq!(tel.events().len(), 151);
         let jsonl = tel.to_jsonl();
@@ -1265,7 +1181,7 @@ mod tests {
     fn metrics_only_telemetry_skips_event_construction() {
         let tel = Telemetry::metrics_only();
         let mut rng = StdRng::seed_from_u64(11);
-        let _ = simulate_async_cycle_traced(30, &server(5), &mut rng, &tel);
+        let _ = traced(30, &server(5), &mut rng, &tel);
         assert!(tel.events().is_empty());
         assert_eq!(tel.snapshot().counter("des.events.arrival"), Some(30));
     }
@@ -1277,18 +1193,30 @@ mod tests {
         proptest! {
             #![proptest_config(proptest::test_runner::Config::with_cases(32))]
             #[test]
-            fn invariants(n in 0usize..300, cap in 1usize..40, seed in 0u64..100) {
+            fn invariants(n in 0usize..1200, cap in 1usize..40, seed in 0u64..100) {
                 let s = server(cap);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let r = simulate_async_cycle(n, &s, &mut rng);
+                let r = cycle(n, &s, &mut StdRng::seed_from_u64(seed));
                 // CPU time is exactly n × process duration.
                 prop_assert!((r.process_busy.value() - n as f64).abs() < 1e-6);
+                // Makespan: one CPU cannot finish n jobs sooner (past
+                // 300 clients this outlasts the cycle).
+                prop_assert!(r.horizon.value() >= n as f64 * s.process_duration.value());
                 // Receive-busy bounded by n × transfer and by the horizon.
                 prop_assert!(r.receive_busy.value() <= n as f64 * 15.0 + 1e-6);
                 prop_assert!(r.receive_busy.value() <= r.horizon.value() + 1e-6);
                 // Energy at least the idle floor.
                 let floor = s.idle_power * r.horizon;
                 prop_assert!(r.server_energy >= floor - Joules(1e-6));
+                // A recording sink forces the exact heap-scheduled loop,
+                // which must land on the replay's bits.
+                let exact = traced(n, &s, &mut StdRng::seed_from_u64(seed), &Telemetry::ring(1));
+                let bits = |r: &AsyncCycleReport| {
+                    [r.horizon, r.receive_busy, r.process_busy, r.mean_latency, r.max_latency]
+                        .map(|q| q.value().to_bits())
+                };
+                prop_assert_eq!(bits(&exact), bits(&r));
+                prop_assert_eq!(exact.server_energy.value().to_bits(), r.server_energy.value().to_bits());
+                prop_assert_eq!(exact.peak_queue, r.peak_queue);
             }
         }
     }

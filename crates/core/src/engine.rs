@@ -23,6 +23,11 @@
 //! the fill policy — travels as one [`ScenarioSpec`] value instead of a
 //! six-argument parameter list.
 //!
+//! Each backend is one implementation that prices the cycle under the
+//! context's [`FaultPlan`]; a fault-free run is simply the
+//! [`FaultPlan::NONE`] case, and per-client fault work only happens when
+//! the plan can strike a client (see [`crate::faults`]).
+//!
 //! # Example
 //!
 //! ```
@@ -45,15 +50,20 @@ use std::sync::{Arc, RwLock};
 
 use crate::allocator::{allocate, Allocation, FillPolicy};
 use crate::client::ClientModel;
-use crate::des::{simulate_async_cycle_memoized, DesTrace, ShapeMemo};
-use crate::faults::{self, FaultPlan, FAULT_GAMMA};
+use crate::columns::{publish_columns, FleetColumns};
+use crate::des::{run_cycle, DesTrace, FaultInputs, FaultedAsyncReport, ShapeMemo};
+use crate::faults::{
+    self, emit_brownout_fallback, emit_delivered, emit_sample, exact_transfer, retry_energy,
+    ClientClass, FaultPlan, FaultStats, TransferTrace, FAULT_GAMMA,
+};
 use crate::loss::LossModel;
 use crate::scenario::presets;
 use crate::server::ServerModel;
 use crate::simulation::{edge_cycle_energy, servers_cycle_energy, CycleReport};
 use crate::sweep::ComparisonPoint;
-use crate::timeline::{clients_energy_from_timelines, servers_energy_from_timelines};
+use crate::timeline::{client_timeline, servers_energy_from_timelines, slot_start_times};
 use crate::ServiceKind;
+use pb_telemetry::trace::trace_id;
 use pb_telemetry::{Counter, Histogram, Telemetry};
 use pb_units::Joules;
 use rand::rngs::StdRng;
@@ -346,8 +356,9 @@ impl SimContext {
         SimContext { seed, cache, telemetry, faults: FaultPlan::NONE }
     }
 
-    /// This context with `plan` injected into every evaluation. The
-    /// structural [`FaultPlan::NONE`] keeps the exact fault-free paths.
+    /// This context with `plan` injected into every evaluation.
+    /// [`FaultPlan::NONE`] is the identity plan: every backend reproduces
+    /// its fault-free results bit for bit under it.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
         self
@@ -436,21 +447,35 @@ pub trait CycleEngine: Send + Sync {
     /// Prices one cycle of the **edge** scenario at `n_clients`: every
     /// client runs the service locally, no servers exist, and only
     /// Loss C applies.
+    ///
+    /// Nodes never touch the network, so outages, packet loss and radio
+    /// brown-outs cannot strike them — only sensor dropouts cost samples
+    /// (the node still runs its full routine, so energy is unchanged).
+    /// The classes come from the same fault stream as the cloud side, so
+    /// per-class counts match across scenarios.
     fn evaluate_edge(
         &self,
         spec: &ScenarioSpec,
         n_clients: usize,
         ctx: &SimContext,
     ) -> CycleReport {
-        if !ctx.fault_plan().is_none() {
-            return faults::edge_with_faults(spec, n_clients, ctx);
-        }
         let _span = ctx.telemetry().span("engine.cycle.edge");
+        let plan = ctx.fault_plan();
         let mut rng = ctx.point_rng(n_clients as u64);
         let active = draw_active(&spec.loss, n_clients, &mut rng);
         record_client_loss(ctx, n_clients, active);
         let edge_total = spec.edge_client.cycle_energy() * active as f64;
-        CycleReport::from_parts(n_clients, active, 0, edge_total, Joules::ZERO)
+        let sensor_dropouts = if plan.all_upload() {
+            0
+        } else {
+            FleetColumns::draw(plan, active, &mut ctx.fault_rng(n_clients as u64)).class_counts().1
+        };
+        let stats = FaultStats {
+            sensor_dropouts: sensor_dropouts as u64,
+            delivered: (active - sensor_dropouts) as u64,
+            ..FaultStats::default()
+        };
+        CycleReport::from_parts(n_clients, active, 0, edge_total, Joules::ZERO, ledger(plan, stats))
     }
 
     /// Evaluates both scenarios at `n_clients` from the *same* derived
@@ -483,30 +508,136 @@ pub(crate) fn record_client_loss(ctx: &SimContext, n_clients: usize, active: usi
     }
 }
 
+/// The fault ledger a report carries: [`FaultPlan::NONE`] keeps none,
+/// so its reports hold `FaultStats::default()`, as before fault
+/// injection existed.
+fn ledger(plan: &FaultPlan, stats: FaultStats) -> FaultStats {
+    if plan.is_none() {
+        FaultStats::default()
+    } else {
+        stats
+    }
+}
+
+/// What every edge+cloud backend draws before pricing a cycle: the Loss-C
+/// draw, the per-client classes, the degraded server and its
+/// (fingerprint-keyed) allocation.
+struct CycleSetup {
+    active: usize,
+    /// Per-client classes, drawn only when the plan can brown out or
+    /// drop a client; `None` means every client is an uploader.
+    columns: Option<FleetColumns>,
+    brownouts: usize,
+    sensor_dropouts: usize,
+    /// The server as the plan degrades it.
+    server: ServerModel,
+    allocation: Arc<Allocation>,
+    /// The point's fault stream, positioned after the class draw.
+    frng: StdRng,
+}
+
+impl CycleSetup {
+    fn draw(spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> Self {
+        let plan = ctx.fault_plan();
+        let mut rng = ctx.point_rng(n_clients as u64);
+        let active = draw_active(&spec.loss, n_clients, &mut rng);
+        record_client_loss(ctx, n_clients, active);
+        // Without brown-out or dropout probability the class draw would
+        // consume no RNG and yield only uploaders: skip it.
+        let mut frng = ctx.fault_rng(n_clients as u64);
+        let columns = (!plan.all_upload()).then(|| FleetColumns::draw(plan, active, &mut frng));
+        let (brownouts, sensor_dropouts) =
+            columns.as_ref().map_or((0, 0), FleetColumns::class_counts);
+        if let Some(columns) = &columns {
+            publish_columns(ctx.telemetry(), columns);
+        }
+        let server = plan.effective_server(&spec.server);
+        let allocation = ctx.cache().get_or_allocate_for(
+            active,
+            &server,
+            spec.policy,
+            spec.loss.transfer.as_ref(),
+            plan.fingerprint(),
+        );
+        CycleSetup { active, columns, brownouts, sensor_dropouts, server, allocation, frng }
+    }
+
+    /// The cycle's report, with its fault ledger mirrored into the
+    /// `fault.*` counters (none under [`FaultPlan::NONE`]).
+    fn report(
+        &self,
+        ctx: &SimContext,
+        n_clients: usize,
+        edge_total: Joules,
+        server_total: Joules,
+        stats: FaultStats,
+    ) -> CycleReport {
+        let plan = ctx.fault_plan();
+        if !plan.is_none() {
+            faults::publish_stats(ctx.telemetry(), &stats);
+        }
+        CycleReport::from_parts(
+            n_clients,
+            self.active,
+            self.allocation.n_servers(),
+            edge_total,
+            server_total,
+            ledger(plan, stats),
+        )
+    }
+}
+
 /// The closed-form backend: the per-slot algebra of
 /// [`crate::simulation`]. Fastest; exact for the paper's synchronized
 /// slot model.
+///
+/// Under a fault plan the brown-out and sensor classes are drawn
+/// exactly, while retry and fallback mass follow the geometric retry
+/// series of the expected first-attempt failure. Server provisioning is
+/// pre-fault: the server cannot know which clients will fail, so it runs
+/// its full slot schedule.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClosedForm;
 
 impl CycleEngine for ClosedForm {
     fn evaluate(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> CycleReport {
-        if !ctx.fault_plan().is_none() {
-            return faults::closed_form_with_faults(spec, n_clients, ctx);
-        }
         let _span = ctx.telemetry().span("engine.cycle.closed_form");
-        let mut rng = ctx.point_rng(n_clients as u64);
-        let active = draw_active(&spec.loss, n_clients, &mut rng);
-        record_client_loss(ctx, n_clients, active);
-        let allocation = ctx.cache().get_or_allocate(
-            active,
-            &spec.server,
-            spec.policy,
-            spec.loss.transfer.as_ref(),
-        );
-        let server_total = servers_cycle_energy(&spec.server, &allocation, &spec.loss);
-        let edge_total = edge_cycle_energy(&spec.cloud_client, &allocation, &spec.loss);
-        CycleReport::from_parts(n_clients, active, allocation.n_servers(), edge_total, server_total)
+        let plan = ctx.fault_plan();
+        let s = CycleSetup::draw(spec, n_clients, ctx);
+        let uploaders = s.active - s.brownouts - s.sensor_dropouts;
+
+        let server_total = servers_cycle_energy(&s.server, &s.allocation, &spec.loss);
+        let base_cloud = edge_cycle_energy(&spec.cloud_client, &s.allocation, &spec.loss);
+        let per_cloud = if s.active > 0 { base_cloud / s.active as f64 } else { Joules::ZERO };
+
+        // The geometric retry series of a first attempt failing with p₁:
+        // every attempt fails with p₁^(R+1), and E[retries] = Σ p₁^k.
+        let p1 = plan.first_attempt_failure(spec.server.cycle);
+        let max = plan.retry.max_retries;
+        let (p_exhaust, expected_retries_per_uploader) = if p1 > 0.0 {
+            (p1.powi(max as i32 + 1), (1..=max).map(|k| p1.powi(k as i32)).sum())
+        } else {
+            (0.0, 0.0)
+        };
+        let tx_fallbacks = uploaders as f64 * p_exhaust;
+        let total_retries = uploaders as f64 * expected_retries_per_uploader;
+        let fallback_mass = s.brownouts as f64 + tx_fallbacks;
+
+        let fallback_cost = spec.edge_client.cycle_energy();
+        let edge_total = base_cloud
+            + (fallback_cost - per_cloud) * fallback_mass
+            + retry_energy(&spec.cloud_client) * total_retries;
+
+        let fallbacks = s.brownouts as u64 + tx_fallbacks.round() as u64;
+        let stats = FaultStats {
+            attempts: uploaders as u64 + total_retries.round() as u64,
+            retries: total_retries.round() as u64,
+            fallbacks,
+            brownouts: s.brownouts as u64,
+            sensor_dropouts: s.sensor_dropouts as u64,
+            delivered: (s.active as u64).saturating_sub(fallbacks + s.sensor_dropouts as u64),
+        };
+        s.report(ctx, n_clients, edge_total, server_total, stats)
     }
 }
 
@@ -514,27 +645,145 @@ impl CycleEngine for ClosedForm {
 /// machines ([`crate::timeline`]) for every server and client and
 /// integrates them. Slower than [`ClosedForm`] but validates it — the
 /// two must agree to numerical precision on the same allocation.
+///
+/// Under a fault plan every client's transfer is attempted at its slot's
+/// scheduled start time and resolved exactly against the outage window,
+/// the packet loss and the retry schedule; fault outcomes are drawn in
+/// (server, slot, client) order from the point's fault stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EventTimeline;
 
 impl CycleEngine for EventTimeline {
     fn evaluate(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> CycleReport {
-        if !ctx.fault_plan().is_none() {
-            return faults::timeline_with_faults(spec, n_clients, ctx);
-        }
         let _span = ctx.telemetry().span("engine.cycle.timeline");
-        let mut rng = ctx.point_rng(n_clients as u64);
-        let active = draw_active(&spec.loss, n_clients, &mut rng);
-        record_client_loss(ctx, n_clients, active);
-        let allocation = ctx.cache().get_or_allocate(
-            active,
-            &spec.server,
-            spec.policy,
-            spec.loss.transfer.as_ref(),
-        );
-        let server_total = servers_energy_from_timelines(&spec.server, &allocation, &spec.loss);
-        let edge_total = clients_energy_from_timelines(&spec.cloud_client, &allocation, &spec.loss);
-        CycleReport::from_parts(n_clients, active, allocation.n_servers(), edge_total, server_total)
+        let plan = ctx.fault_plan();
+        let mut s = CycleSetup::draw(spec, n_clients, ctx);
+
+        let server_total = servers_energy_from_timelines(&s.server, &s.allocation, &spec.loss);
+        let fallback_cost = spec.edge_client.cycle_energy();
+        let retry_cost = retry_energy(&spec.cloud_client);
+        let telemetry = ctx.telemetry();
+        // Causal tagging is opt-in (`Telemetry::with_tracing`): without it
+        // the event stream stays byte-identical to the untagged shape.
+        let causal = telemetry.tracing_active();
+        let trace_seed = ctx.point_seed(n_clients as u64);
+        // When the plan can strike no client, every client of a slot
+        // uploads and delivers at the slot's start: the slot's cost is
+        // paid once per client, with no per-client work.
+        let per_client = s.columns.is_some() || !plan.transfers_never_fail();
+
+        let mut stats = FaultStats {
+            brownouts: s.brownouts as u64,
+            sensor_dropouts: s.sensor_dropouts as u64,
+            fallbacks: s.brownouts as u64,
+            ..FaultStats::default()
+        };
+        let mut edge_total = Joules::ZERO;
+        let mut idx = 0usize;
+        for (count, sa) in s.allocation.groups() {
+            // Every server of a group shares its shape, so the slot costs
+            // (loss-B stretch included) and start times are priced once.
+            let slot_costs: Vec<Joules> = sa
+                .slots
+                .iter()
+                .map(|&k| match k {
+                    0 => Joules::ZERO,
+                    k => client_timeline(&spec.cloud_client, k, &spec.loss).total_energy(),
+                })
+                .collect();
+            let starts = if per_client {
+                slot_start_times(&s.server, &sa.slots, &spec.loss)
+            } else {
+                Vec::new()
+            };
+            for _ in 0..*count {
+                for (i, &k) in sa.slots.iter().enumerate() {
+                    if k == 0 {
+                        continue;
+                    }
+                    let slot_cost = slot_costs[i];
+                    if !per_client {
+                        stats.attempts += k as u64;
+                        stats.delivered += k as u64;
+                        idx += k;
+                        edge_total += slot_cost * k as f64;
+                        continue;
+                    }
+                    let t0 = starts[i];
+                    let mut paying_slot_cost = 0usize;
+                    for _ in 0..k {
+                        let tid = if causal { trace_id(trace_seed, idx as u64) } else { 0 };
+                        let class =
+                            s.columns.as_ref().map_or(ClientClass::Uploader, |c| c.class(idx));
+                        match class {
+                            ClientClass::Brownout => {
+                                edge_total += fallback_cost;
+                                if causal {
+                                    emit_sample(telemetry, t0.value(), tid, idx as u64, "brownout");
+                                    emit_brownout_fallback(
+                                        telemetry,
+                                        t0.value(),
+                                        tid,
+                                        idx as u64,
+                                        fallback_cost.value(),
+                                    );
+                                }
+                            }
+                            ClientClass::SensorDropout => {
+                                paying_slot_cost += 1;
+                                if causal {
+                                    emit_sample(telemetry, t0.value(), tid, idx as u64, "dropout");
+                                }
+                            }
+                            ClientClass::Uploader => {
+                                let tc = TransferTrace {
+                                    client: idx as u64,
+                                    trace: tid,
+                                    retry_energy_j: retry_cost.value(),
+                                    fallback_energy_j: fallback_cost.value(),
+                                };
+                                if causal {
+                                    emit_sample(telemetry, t0.value(), tid, idx as u64, "uploader");
+                                }
+                                let (attempts, success) = exact_transfer(
+                                    plan,
+                                    t0,
+                                    &mut s.frng,
+                                    telemetry,
+                                    causal.then_some(&tc),
+                                );
+                                stats.attempts += attempts;
+                                stats.retries += attempts - 1;
+                                if attempts > 1 {
+                                    edge_total += retry_cost * (attempts - 1) as f64;
+                                }
+                                if let Some(t_eff) = success {
+                                    paying_slot_cost += 1;
+                                    stats.delivered += 1;
+                                    if causal {
+                                        emit_delivered(
+                                            telemetry,
+                                            t_eff.value(),
+                                            tid,
+                                            idx as u64,
+                                            attempts,
+                                            slot_cost.value(),
+                                        );
+                                    }
+                                } else {
+                                    edge_total += fallback_cost;
+                                    stats.fallbacks += 1;
+                                }
+                            }
+                        }
+                        idx += 1;
+                    }
+                    edge_total += slot_cost * paying_slot_cost as f64;
+                }
+            }
+        }
+        debug_assert_eq!(idx, s.active, "allocation must cover every active client");
+        s.report(ctx, n_clients, edge_total, server_total, stats)
     }
 }
 
@@ -550,75 +799,100 @@ impl CycleEngine for EventTimeline {
 /// and server energy reflects asynchronous overlap rather than shared
 /// slot windows — every upload bills its own receive time, where a
 /// synchronized slot amortizes one window over its whole occupancy.
+///
+/// Under a fault plan the injection is exact and event-level, at each
+/// client's random arrival time: failed attempts never occupy the
+/// uplink, successful ones arrive at their final attempt time. Each
+/// server derives its own arrival and fault streams from the point seed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Des;
 
 impl CycleEngine for Des {
     fn evaluate(&self, spec: &ScenarioSpec, n_clients: usize, ctx: &SimContext) -> CycleReport {
-        if !ctx.fault_plan().is_none() {
-            return faults::des_with_faults(spec, n_clients, ctx);
-        }
         let _span = ctx.telemetry().span("engine.cycle.des");
-        let mut rng = ctx.point_rng(n_clients as u64);
-        let active = draw_active(&spec.loss, n_clients, &mut rng);
-        record_client_loss(ctx, n_clients, active);
-        let allocation = ctx.cache().get_or_allocate(
-            active,
-            &spec.server,
-            spec.policy,
-            spec.loss.transfer.as_ref(),
-        );
+        let plan = ctx.fault_plan();
+        let s = CycleSetup::draw(spec, n_clients, ctx);
         let point_seed = ctx.point_seed(n_clients as u64);
-        // Each server owns an independent salted RNG stream, so the
-        // per-server simulations parallelize; folding the reports in
-        // server order keeps the energy sum bit-identical to the serial
-        // loop regardless of the worker count. Jobs carry the global
-        // index of their first client so causal trace ids (derived from
-        // the point seed and the global index) are thread-count-stable.
-        let mut jobs: Vec<(usize, usize, usize)> = Vec::with_capacity(allocation.n_servers());
-        let mut base = 0usize;
-        for (s, sa) in allocation.servers().enumerate() {
-            jobs.push((s, base, sa.n_clients()));
-            base += sa.n_clients();
+        let fault_seed = ctx.fault_seed(n_clients as u64);
+        // The per-server pre-pass runs only when the plan can strike a
+        // client; otherwise every client uploads on its first attempt.
+        let per_client = s.columns.is_some() || !plan.transfers_never_fail();
+        // One job per server: (server index, global index of its first
+        // client, clients). Each server derives its own RNG streams from
+        // the point seed, so the servers are independent and fan out over
+        // the pool; the fold below walks the results in server order,
+        // keeping the energy sum bit-identical to the serial loop at any
+        // thread count. Causal trace ids derive from the point seed and
+        // the global index, so tags are thread-count-stable too.
+        let mut jobs: Vec<(usize, usize, usize)> = Vec::with_capacity(s.allocation.n_servers());
+        let mut offset = 0usize;
+        for (i, sa) in s.allocation.servers().enumerate() {
+            let k = sa.n_clients();
+            jobs.push((i, offset, k));
+            offset += k;
         }
+        debug_assert_eq!(offset, s.active, "allocation must cover every active client");
+        let classes = s.columns.as_ref().map(FleetColumns::classes);
         let telemetry = ctx.telemetry();
         let causal = telemetry.tracing_active();
         let deliver_cost = spec.cloud_client.cycle_energy();
+        let fallback_cost = spec.edge_client.cycle_energy();
+        let retry_cost = retry_energy(&spec.cloud_client);
         // Uniform populations leave at most two distinct server shapes
         // after the RLE allocation; fold each shape's repeated-addition
-        // constants once and share them across the fan-out.
-        let memo = ShapeMemo::for_server(&spec.server, jobs.iter().map(|&(_, _, k)| k));
-        let reports: Vec<Joules> = jobs
+        // constants once and share them across the fan-out. Servers with
+        // divergent delivered counts fold inline.
+        let memo = ShapeMemo::for_server(&s.server, jobs.iter().map(|&(_, _, k)| k));
+        let outs: Vec<FaultedAsyncReport> = jobs
             .par_iter()
-            .map(|&(s, base, k)| {
-                let mut server_rng =
-                    StdRng::seed_from_u64(point_seed ^ (s as u64 + 1).wrapping_mul(GOLDEN_GAMMA));
+            .map(|&(i, offset, k)| {
+                let salt = (i as u64 + 1).wrapping_mul(GOLDEN_GAMMA);
+                let mut server_rng = StdRng::seed_from_u64(point_seed ^ salt);
+                let mut server_frng = StdRng::seed_from_u64(fault_seed ^ salt);
+                let faults = per_client.then(|| FaultInputs {
+                    plan,
+                    rng: &mut server_frng,
+                    classes: classes.map(|c| c.slice(offset..offset + k)),
+                });
                 let tr = DesTrace {
                     point_seed,
-                    base,
+                    base: offset,
                     deliver_energy_j: deliver_cost.value(),
-                    retry_energy_j: 0.0,
-                    fallback_energy_j: 0.0,
+                    retry_energy_j: retry_cost.value(),
+                    fallback_energy_j: fallback_cost.value(),
                 };
-                simulate_async_cycle_memoized(
+                run_cycle(
                     k,
-                    &spec.server,
+                    &s.server,
                     &mut server_rng,
+                    faults,
                     telemetry,
                     causal.then_some(&tr),
                     Some(&memo),
                 )
-                .server_energy
             })
             .collect();
+        // Fallbacks accumulate from the per-server reports, which already
+        // count their brown-out-class clients.
+        let mut stats = FaultStats {
+            brownouts: s.brownouts as u64,
+            sensor_dropouts: s.sensor_dropouts as u64,
+            ..FaultStats::default()
+        };
         let mut server_total = Joules::ZERO;
-        for e in reports {
-            server_total += e;
+        for out in &outs {
+            server_total += out.report.server_energy;
+            stats.attempts += out.attempts;
+            stats.retries += out.retries;
+            stats.delivered += out.delivered;
+            stats.fallbacks += out.fallbacks;
         }
-        // Unsynchronized uploads see no slot contention: each client pays
-        // its nominal cycle, penalty-free.
-        let edge_total = spec.cloud_client.cycle_energy() * active as f64;
-        CycleReport::from_parts(n_clients, active, allocation.n_servers(), edge_total, server_total)
+        // Unsynchronized uploads see no slot contention (penalty-free cycle
+        // cost); sensor-dropout clients still run their full routine.
+        let edge_total = deliver_cost * (stats.delivered + stats.sensor_dropouts) as f64
+            + fallback_cost * stats.fallbacks as f64
+            + retry_cost * stats.retries as f64;
+        s.report(ctx, n_clients, edge_total, server_total, stats)
     }
 }
 
@@ -687,43 +961,6 @@ mod tests {
 
     fn spec(max_parallel: usize, loss: LossModel) -> ScenarioSpec {
         ScenarioSpec::paper(ServiceKind::Cnn, max_parallel, loss)
-    }
-
-    #[test]
-    fn closed_form_matches_the_deprecated_free_functions() {
-        // The engine is a refactor, not a remodel: on every loss model the
-        // ClosedForm backend must reproduce simulate_edge_cloud exactly
-        // (same RNG stream, same allocation, same algebra).
-        #[allow(deprecated)]
-        for loss in [
-            LossModel::NONE,
-            LossModel::saturation_only(),
-            LossModel::transfer_only(),
-            LossModel::client_loss_only(),
-            LossModel::all(),
-        ] {
-            let spec = spec(10, loss);
-            let ctx = SimContext::new(0xF1E1D);
-            for n in [0usize, 1, 90, 180, 200, 630] {
-                let got = ClosedForm.evaluate(&spec, n, &ctx);
-                let mut rng = ctx.point_rng(n as u64);
-                let want = crate::simulation::simulate_edge_cloud(
-                    n,
-                    &spec.cloud_client,
-                    &spec.server,
-                    &spec.loss,
-                    spec.policy,
-                    &mut rng,
-                );
-                assert_eq!(got, want, "n = {n}");
-
-                let got_edge = ClosedForm.evaluate_edge(&spec, n, &ctx);
-                let mut rng = ctx.point_rng(n as u64);
-                let want_edge =
-                    crate::simulation::simulate_edge(n, &spec.edge_client, &spec.loss, &mut rng);
-                assert_eq!(got_edge, want_edge, "edge, n = {n}");
-            }
-        }
     }
 
     #[test]

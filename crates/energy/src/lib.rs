@@ -21,7 +21,6 @@
 //!   tables.
 
 pub mod battery;
-pub mod columns;
 pub mod forecast;
 pub mod harvest;
 pub mod ledger;
@@ -31,7 +30,6 @@ pub mod state;
 pub mod trace;
 
 pub use battery::Battery;
-pub use columns::BatteryBank;
 pub use forecast::{daily_budget, Ar1Forecaster, EwmaForecaster};
 pub use harvest::{HarvestStep, PowerSystem, PowerSystemConfig};
 pub use ledger::{EnergyLedger, LedgerEntry};

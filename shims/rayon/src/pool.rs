@@ -141,8 +141,8 @@ pub fn with_thread_cap<R>(cap: usize, f: impl FnOnce() -> R) -> R {
 /// A frozen view of the pool's cumulative counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Parallel operations that went through the shared queue (inline
-    /// executions are not jobs).
+    /// Parallel operations that went through the shared queue, counted
+    /// as each completes (inline executions are not jobs).
     pub jobs: u64,
     /// Chunks executed, inline or pooled.
     pub tasks_executed: u64,
@@ -162,7 +162,8 @@ pub struct PoolStats {
 /// Snapshots the cumulative pool counters.
 pub fn stats() -> PoolStats {
     PoolStats {
-        jobs: STATS.jobs.load(Ordering::Relaxed),
+        // Read first, with acquire: see the note where `jobs` is counted.
+        jobs: STATS.jobs.load(Ordering::Acquire),
         tasks_executed: STATS.tasks.load(Ordering::Relaxed),
         steals: STATS.steals.load(Ordering::Relaxed),
         queue_depth_peak: STATS.queue_depth_peak.load(Ordering::Relaxed),
@@ -287,7 +288,6 @@ pub(crate) fn run_chunks(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
         let depth = queue.len() as u64;
         STATS.queue_depth_peak.fetch_max(depth, Ordering::Relaxed);
     }
-    STATS.jobs.fetch_add(1, Ordering::Relaxed);
     pool.work_cv.notify_all();
 
     // The submitter is a full participant: it claims chunks like any
@@ -315,6 +315,10 @@ pub(crate) fn run_chunks(n_chunks: usize, task: &(dyn Fn(usize) + Sync)) {
         .clamp(1, UTILIZATION_BUCKETS)
         - 1;
     STATS.utilization[bucket].fetch_add(1, Ordering::Relaxed);
+    // A job counts once it has landed in its bucket. The release pairs
+    // with the acquire load in `stats`, which reads `jobs` before the
+    // buckets, so any reader sees Σ utilization ≥ jobs.
+    STATS.jobs.fetch_add(1, Ordering::Release);
 
     let payload = job.panic.lock().expect("rayon shim: panic slot poisoned").take();
     if let Some(payload) = payload {
