@@ -59,10 +59,9 @@ use std::str::FromStr;
 
 use crate::client::ClientModel;
 use crate::server::ServerModel;
-use pb_energy::battery::Battery;
 use pb_telemetry::trace::{SpanCtx, HOP_TERMINAL};
 use pb_telemetry::Telemetry;
-use pb_units::{Joules, Seconds, Watts};
+use pb_units::{Joules, Seconds};
 use rand::Rng;
 
 /// XOR'd into a point seed to derive its independent fault stream
@@ -150,14 +149,6 @@ impl Default for RetryPolicy {
 pub struct Brownout {
     /// Probability that a given client browns out this cycle.
     pub probability: f64,
-}
-
-impl Brownout {
-    /// Derives the brown-out probability from a battery's headroom for a
-    /// transmit burst of `load` over `dt` (see [`Battery::brownout_risk`]).
-    pub fn from_battery(battery: &Battery, load: Watts, dt: Seconds) -> Self {
-        Brownout { probability: battery.brownout_risk(load, dt) }
-    }
 }
 
 /// A deterministic, seedable fault plan for one simulation run.

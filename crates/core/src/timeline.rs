@@ -260,27 +260,56 @@ mod tests {
 
     mod props {
         use super::*;
+        use crate::engine::{Backend, CycleEngine, ScenarioSpec, SimContext};
+        use crate::faults::FaultPlan;
         use proptest::prelude::*;
+
+        fn rel_gap(a: Joules, b: Joules) -> f64 {
+            let scale = a.value().abs().max(b.value().abs());
+            if scale == 0.0 {
+                0.0
+            } else {
+                (a - b).value().abs() / scale
+            }
+        }
 
         proptest! {
             #![proptest_config(proptest::test_runner::Config::with_cases(32))]
             #[test]
             fn closed_form_and_timeline_always_agree(
                 n in 1usize..600,
-                cap in 1usize..40,
-                which_loss in 0u8..4,
+                clients in 0usize..1_000_000,
+                cap in 1usize..60,
+                which_loss in 0u8..6,
                 balance in proptest::bool::ANY,
+                cnn in proptest::bool::ANY,
+                seed in 0u64..u64::MAX,
             ) {
-                let (client, server) = setup(cap);
                 let loss = match which_loss {
                     0 => LossModel::NONE,
                     1 => LossModel::saturation_only(),
                     2 => LossModel::transfer_only(),
+                    3 => LossModel::client_loss_only(),
+                    4 => LossModel::all(),
                     _ => LossModel::fig9(),
                 };
                 let policy = if balance { FillPolicy::BalanceSlots } else { FillPolicy::PackSlots };
-                let gap = validate_cycle(n, &client, &server, &loss, policy);
+                let service = if cnn { ServiceKind::Cnn } else { ServiceKind::Svm };
+                let spec = ScenarioSpec { policy, ..ScenarioSpec::paper(service, cap, loss) };
+                let gap = validate_cycle(n, &spec.cloud_client, &spec.server, &loss, policy);
                 prop_assert!(gap < Joules(1e-6), "gap {gap}");
+
+                // The same agreement through the public engine up to a
+                // million clients, with Loss C drawn from the seeded context.
+                let ctx = SimContext::new(seed).with_fault_plan(FaultPlan::NONE);
+                let closed = Backend::ClosedForm.evaluate(&spec, clients, &ctx);
+                let timeline = Backend::EventTimeline.evaluate(&spec, clients, &ctx);
+                prop_assert_eq!(closed.n_active, timeline.n_active);
+                prop_assert_eq!(closed.n_servers, timeline.n_servers);
+                let edge = rel_gap(closed.edge_energy_total, timeline.edge_energy_total);
+                let server = rel_gap(closed.server_energy_total, timeline.server_energy_total);
+                prop_assert!(edge <= 1e-9, "edge relative gap {edge}");
+                prop_assert!(server <= 1e-9, "server relative gap {server}");
             }
         }
     }

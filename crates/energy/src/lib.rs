@@ -21,7 +21,6 @@
 //!   tables.
 
 pub mod battery;
-pub mod forecast;
 pub mod harvest;
 pub mod ledger;
 pub mod meter;
@@ -30,7 +29,6 @@ pub mod state;
 pub mod trace;
 
 pub use battery::Battery;
-pub use forecast::{daily_budget, Ar1Forecaster, EwmaForecaster};
 pub use harvest::{HarvestStep, PowerSystem, PowerSystemConfig};
 pub use ledger::{EnergyLedger, LedgerEntry};
 pub use meter::{CurrentSensor, EnergyMeter};

@@ -400,8 +400,7 @@ impl ResNetLite {
     }
 
     /// Mutable views of every weight tensor in network order (stem, block
-    /// convolutions and projections, dense head) — the hook the
-    /// quantization pass uses. Biases are excluded.
+    /// convolutions and projections, dense head). Biases are excluded.
     pub fn weight_tensors_mut(&mut self) -> Vec<&mut [f64]> {
         let mut v: Vec<&mut [f64]> = vec![self.stem.weights.as_mut_slice()];
         for b in &mut self.blocks {

@@ -2,17 +2,12 @@
 //!
 //! Energy-constrained edge inference commonly quantizes weights to 8 bits;
 //! on a Raspberry-Pi-class device this shrinks the model and enables
-//! integer arithmetic. Two layers of machinery live here:
-//!
-//! 1. **Fake quantization** ([`QuantParams`], [`quantize_tensor`],
-//!    [`quantize_resnet`]) — symmetric per-tensor rounding with dequantized
-//!    f64 inference, used to measure the accuracy cost of a bit width.
-//! 2. **A true integer engine** ([`QuantizedResNetLite`]) — per-channel
-//!    symmetric int8 weights, activations quantized on the fly during
-//!    im2col, an i8×i8→i32 GEMM kernel, and a per-channel rescale back to
-//!    f64 at each layer output. Activation scales come from a one-shot
-//!    calibration pass over a sample corpus; the f32 network stays around
-//!    as the accuracy oracle.
+//! integer arithmetic. [`QuantizedResNetLite`] is a true integer engine:
+//! per-channel symmetric int8 weights, activations quantized on the fly
+//! during im2col, an i8×i8→i32 GEMM kernel, and a per-channel rescale back
+//! to f64 at each layer output. Activation scales come from a one-shot
+//! calibration pass over a sample corpus; the f32 network stays around as
+//! the accuracy oracle.
 //!
 //! The integer accumulation is *exact*: a fan-in of `F` taps bounds
 //! `|acc| ≤ F·127²`, so any layer with `F ≤ 133 000` fits an `i32` with
@@ -43,113 +38,6 @@ pub const MAX_BATCH_LANES: usize = 8;
 /// K-dimension panel width of the blocked int8 GEMM. Wider than the f64
 /// kernel's panel because int8 weight rows are 8× smaller.
 const GEMM_KB_I8: usize = 128;
-
-/// Symmetric per-tensor quantization parameters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct QuantParams {
-    /// Scale: real value = scale × quantized integer.
-    pub scale: f64,
-    /// Number of bits (2–16).
-    pub bits: u32,
-}
-
-impl QuantParams {
-    /// Chooses the scale covering `values` symmetrically at `bits` bits.
-    /// A degenerate all-zero tensor gets scale 1.
-    pub fn fit(values: &[f64], bits: u32) -> Self {
-        assert!((2..=16).contains(&bits), "bits must be in 2..=16");
-        let max_abs = values.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-        let q_max = ((1i64 << (bits - 1)) - 1) as f64;
-        let scale = if max_abs > 0.0 { max_abs / q_max } else { 1.0 };
-        QuantParams { scale, bits }
-    }
-
-    /// Quantizes one value to the integer grid, saturating at `±q_max` so
-    /// the grid stays symmetric: `-max_abs` and `+max_abs` round-trip to
-    /// values of equal magnitude.
-    pub fn quantize(&self, v: f64) -> i32 {
-        let q_max = (1i64 << (self.bits - 1)) - 1;
-        ((v / self.scale).round() as i64).clamp(-q_max, q_max) as i32
-    }
-
-    /// Dequantizes an integer back to a real value.
-    pub fn dequantize(&self, q: i32) -> f64 {
-        f64::from(q) * self.scale
-    }
-
-    /// Round-trips a value through the grid (fake quantization).
-    pub fn fake_quantize(&self, v: f64) -> f64 {
-        self.dequantize(self.quantize(v))
-    }
-
-    /// Worst-case absolute rounding error of this grid.
-    pub fn max_error(&self) -> f64 {
-        self.scale * 0.5
-    }
-}
-
-/// Statistics of quantizing one tensor.
-#[derive(Clone, Copy, Debug)]
-pub struct TensorQuantReport {
-    /// Elements quantized.
-    pub n: usize,
-    /// Root-mean-square quantization error.
-    pub rms_error: f64,
-}
-
-/// Fake-quantizes a tensor in place; returns the error report.
-pub fn quantize_tensor(values: &mut [f64], bits: u32) -> TensorQuantReport {
-    let params = QuantParams::fit(values, bits);
-    let mut sq = 0.0;
-    for v in values.iter_mut() {
-        let q = params.fake_quantize(*v);
-        sq += (q - *v).powi(2);
-        *v = q;
-    }
-    TensorQuantReport { n: values.len(), rms_error: (sq / values.len().max(1) as f64).sqrt() }
-}
-
-/// Report of quantizing a whole network.
-#[derive(Clone, Debug)]
-pub struct ModelQuantReport {
-    /// Bits used.
-    pub bits: u32,
-    /// Per-tensor reports in network order.
-    pub tensors: Vec<TensorQuantReport>,
-}
-
-impl ModelQuantReport {
-    /// Parameter-weighted mean RMS error.
-    pub fn mean_rms_error(&self) -> f64 {
-        let total: usize = self.tensors.iter().map(|t| t.n).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        self.tensors.iter().map(|t| t.rms_error * t.n as f64).sum::<f64>() / total as f64
-    }
-
-    /// Model size in bytes at this bit width (weights only, no packing
-    /// overhead).
-    pub fn model_bytes(&self) -> usize {
-        let params: usize = self.tensors.iter().map(|t| t.n).sum();
-        (params * self.bits as usize).div_ceil(8)
-    }
-}
-
-/// Fake-quantizes every weight tensor of a [`ResNetLite`] in place
-/// (biases stay in float, as deployment stacks typically keep them at
-/// 32 bits).
-pub fn quantize_resnet(net: &mut ResNetLite, bits: u32) -> ModelQuantReport {
-    let mut tensors = Vec::new();
-    for w in net.weight_tensors_mut() {
-        tensors.push(quantize_tensor(w, bits));
-    }
-    ModelQuantReport { bits, tensors }
-}
-
-// ---------------------------------------------------------------------------
-// The int8 integer engine.
-// ---------------------------------------------------------------------------
 
 /// Saturating round-to-nearest int8 quantization by reciprocal scale —
 /// the activation quantizer of the hot path. Rounds half away from zero
@@ -766,84 +654,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn fit_covers_the_range() {
-        let p = QuantParams::fit(&[-2.0, 1.0, 0.5], 8);
-        // q_max = 127; scale = 2/127.
-        assert!((p.scale - 2.0 / 127.0).abs() < 1e-12);
-        assert_eq!(p.quantize(2.0), 127);
-        assert_eq!(p.quantize(-2.0), -127);
-        assert_eq!(p.quantize(0.0), 0);
-    }
-
-    #[test]
-    fn clamp_is_symmetric_at_the_range_edges() {
-        // Regression: -max_abs used to clamp to -(q_max+1) (e.g. -128)
-        // while +max_abs clamps to q_max, breaking round-trip symmetry.
-        for bits in [2u32, 4, 8, 16] {
-            let q_max = (1i64 << (bits - 1)) - 1;
-            let p = QuantParams::fit(&[3.0, -3.0], bits);
-            assert_eq!(i64::from(p.quantize(3.0)), q_max, "bits {bits}");
-            assert_eq!(i64::from(p.quantize(-3.0)), -q_max, "bits {bits}");
-            // Values past the range saturate symmetrically too.
-            assert_eq!(i64::from(p.quantize(30.0)), q_max, "bits {bits}");
-            assert_eq!(i64::from(p.quantize(-30.0)), -q_max, "bits {bits}");
-            // And the round-trip of the two edges has equal magnitude.
-            assert_eq!(p.fake_quantize(3.0), -p.fake_quantize(-3.0), "bits {bits}");
-        }
-    }
-
-    #[test]
-    fn round_trip_edge_cases_across_bit_widths() {
-        for bits in [2u32, 8, 16] {
-            let values: Vec<f64> = vec![-1.5, -0.75, -1e-9, 0.0, 1e-9, 0.3, 1.5];
-            let p = QuantParams::fit(&values, bits);
-            for &v in &values {
-                let rt = p.fake_quantize(v);
-                assert!(
-                    (rt - v).abs() <= p.max_error() + 1e-12,
-                    "bits {bits}: {v} round-tripped to {rt}"
-                );
-            }
-            // The extreme magnitudes are exactly representable.
-            assert!((p.fake_quantize(1.5) - 1.5).abs() < 1e-12, "bits {bits}");
-            assert!((p.fake_quantize(-1.5) + 1.5).abs() < 1e-12, "bits {bits}");
-        }
-    }
-
-    #[test]
-    fn degenerate_tensor() {
-        let p = QuantParams::fit(&[0.0, 0.0], 8);
-        assert_eq!(p.scale, 1.0);
-        assert_eq!(p.fake_quantize(0.0), 0.0);
-    }
-
-    #[test]
-    fn round_trip_error_bounded() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let values: Vec<f64> = (0..1000).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let p = QuantParams::fit(&values, 8);
-        for &v in &values {
-            assert!((p.fake_quantize(v) - v).abs() <= p.max_error() + 1e-12);
-        }
-    }
-
-    #[test]
-    fn more_bits_less_error() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let values: Vec<f64> = (0..500).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut v4 = values.clone();
-        let mut v8 = values.clone();
-        let r4 = quantize_tensor(&mut v4, 4);
-        let r8 = quantize_tensor(&mut v8, 8);
-        assert!(
-            r8.rms_error < r4.rms_error / 4.0,
-            "8-bit {} vs 4-bit {}",
-            r8.rms_error,
-            r4.rms_error
-        );
-    }
-
     fn tiny_net() -> ResNetLite {
         ResNetLite::new(ResNetConfig {
             input_channels: 1,
@@ -861,48 +671,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let data: Vec<f64> = (0..side * side).map(|_| rng.gen_range(0.0..1.0)).collect();
         FeatureMap::from_vec(1, side, side, data)
-    }
-
-    #[test]
-    fn quantized_network_stays_close_in_logits() {
-        let float_net = tiny_net();
-        let mut q_net = float_net.clone();
-        let report = quantize_resnet(&mut q_net, 8);
-        assert!(report.mean_rms_error() < 0.01, "rms {}", report.mean_rms_error());
-
-        let x = random_clip(10, 7);
-        let a = float_net.forward(&x);
-        let b = q_net.forward(&x);
-        for (fa, fb) in a.iter().zip(&b) {
-            assert!((fa - fb).abs() < 0.2, "logits drifted: {fa} vs {fb}");
-        }
-        // Predictions agree on a batch of random inputs.
-        let mut agree = 0;
-        for s in 0..20u64 {
-            let x = random_clip(10, 100 + s);
-            if float_net.predict(&x) == q_net.predict(&x) {
-                agree += 1;
-            }
-        }
-        assert!(agree >= 18, "only {agree}/20 predictions agree after int8 quantization");
-    }
-
-    #[test]
-    fn model_bytes_shrink_with_bits() {
-        let mut a = tiny_net();
-        let r8 = quantize_resnet(&mut a, 8);
-        let mut b = tiny_net();
-        let r4 = quantize_resnet(&mut b, 4);
-        assert_eq!(r8.model_bytes(), 2 * r4.model_bytes());
-        // int8 is a quarter of f32.
-        let n_weights: usize = r8.tensors.iter().map(|t| t.n).sum();
-        assert_eq!(r8.model_bytes(), n_weights);
-    }
-
-    #[test]
-    #[should_panic(expected = "bits must be in")]
-    fn silly_bit_width_panics() {
-        let _ = QuantParams::fit(&[1.0], 1);
     }
 
     // --- int8 engine ---

@@ -149,11 +149,6 @@ impl BeeAudioSynth {
         }
         out
     }
-
-    /// Synthesizes the paper's standard clip: 10 seconds at 22 050 Hz.
-    pub fn generate_standard<R: Rng + ?Sized>(&self, state: ColonyState, rng: &mut R) -> Vec<f64> {
-        self.generate(state, 10.0, rng)
-    }
 }
 
 #[cfg(test)]

@@ -148,12 +148,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Adjusts the group's measurement window.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.c.measurement = d;
-        self
-    }
-
     /// Closes the group.
     pub fn finish(self) {}
 }
