@@ -59,9 +59,10 @@ enum Event {
 /// clients sit in the fleet's global index space and what each terminal
 /// hop costs, so the `des.*` and `trace.*` events can carry exact trace
 /// ids and energy attribution. Tags only materialize when the
-/// telemetry's tracing flag is active ([`Telemetry::with_tracing`]);
-/// `None` (or an inactive flag) keeps the event stream byte-identical
-/// to the untagged historical shape. Never touches the RNG streams.
+/// telemetry's tracing flag is active ([`Telemetry::with_tracing`]),
+/// and a tagged cycle runs the exact event loop; `None` (or an inactive
+/// flag) leaves the cycle on the replay and keeps per-client `des.*`
+/// hops out of the event stream. Never touches the RNG streams.
 #[derive(Clone, Copy, Debug)]
 pub struct DesTrace {
     /// The sweep point's seed; trace ids derive from `(seed, client)`.
@@ -143,15 +144,18 @@ fn repeated_sum(value: f64, m: usize) -> f64 {
 ///
 /// Observability: event counts by type (`des.events.*`), the peak uplink
 /// queue depth (`des.queue_depth.peak` gauge), the horizon histogram
-/// (`des.cycle.horizon_s`), and — when the sink keeps events — one
-/// sim-time-stamped trace record per simulation event plus a
+/// (`des.cycle.horizon_s`), and — when the sink keeps events — a
 /// `des.cycle_done` summary. With a [`DesTrace`] and an active tracing
-/// flag, each client gets a root `trace.sample` span at its arrival
-/// instant, the `des.{arrival,transfer_done,process_done}` hops chain
-/// under it, and a terminal `trace.delivered` span lands at its
-/// processing completion. A [`ShapeMemo`] supplies the repeated-addition
-/// constants of the caller's server shapes. Neither telemetry nor the
-/// memo touches the RNG: results are bit-identical with or without them.
+/// flag the cycle runs the exact event loop: each client gets a root
+/// `trace.sample` span at its arrival instant, the
+/// `des.{arrival,transfer_done,process_done}` hops chain under it, and
+/// a terminal `trace.delivered` span lands at its processing
+/// completion. Otherwise (given at least one uplink slot) the cycle
+/// takes the shape-memoized replay and counts its clients in
+/// `des.fastpath.replayed`. A [`ShapeMemo`] supplies the
+/// repeated-addition constants of the caller's server shapes. Neither
+/// telemetry nor the memo touches the RNG: results are bit-identical
+/// with or without them.
 ///
 /// This is the all-uploader, fault-free case of
 /// [`simulate_async_cycle_faulted`]: no class column, no pre-pass.
@@ -324,7 +328,7 @@ pub(crate) fn run_cycle<R: Rng + ?Sized, F: Rng + ?Sized>(
     let mut arrivals: Vec<f64> = (0..n_clients).map(|_| rng.gen_range(0.0..cycle)).collect();
     sort_arrival_times(&mut arrivals);
     let tag = causal.filter(|_| telemetry.tracing_active());
-    let fast = fast_path_eligible(telemetry, tag.is_some(), server);
+    let fast = fast_path_eligible(tag.is_some(), server);
     let resolved = faults.map(|f| resolve_transfers(&arrivals, f, telemetry, tag));
 
     // The replay needs entries in *pop* order — (time, push index) —
@@ -439,12 +443,14 @@ fn energy_over(server: &ServerModel, horizon: f64, receive_busy: f64, process_bu
 }
 
 /// True when a cycle may take the shape-memoized replay instead of the
-/// exact event loop. Recording sinks and causal tags force the exact
-/// path: the replay produces no per-event records, and span chains must
-/// follow the real pop sequence. (`max_parallel == 0` starves the
+/// exact event loop. Only a causal tag forces the exact path: its
+/// per-client hop spans must follow the real pop sequence, and the
+/// replay has none. An untagged sink sees the same events from either
+/// path (the pre-pass `fault.*` events and the `des.cycle_done`
+/// summary), so it does not choose. (`max_parallel == 0` starves the
 /// uplink forever — a degenerate shape the recurrence does not model.)
-fn fast_path_eligible(telemetry: &Telemetry, tagged: bool, server: &ServerModel) -> bool {
-    !(telemetry.events_recording() || tagged || server.max_parallel == 0)
+fn fast_path_eligible(tagged: bool, server: &ServerModel) -> bool {
+    !(tagged || server.max_parallel == 0)
 }
 
 /// Per-worker scratch for [`replay_core`]: the intermediate per-entry
@@ -701,9 +707,10 @@ impl PartialEq for Scheduled {
 
 impl Eq for Scheduled {}
 
-/// The exact event-by-event loop (the recording/traced path and the fast
+/// The exact event-by-event loop (the causally tagged path and the fast
 /// path's reference), scheduling on a `BinaryHeap` of [`Scheduled`]
-/// events.
+/// events. Emits the `des.{arrival,transfer_done,process_done}` hops,
+/// through [`Telemetry::trace_event`], for the clients `links` tags.
 fn exact_event_loop(
     n_clients: usize,
     entries: &[(f64, usize)],
@@ -748,7 +755,6 @@ fn exact_event_loop(
 
     // Event counts stay in locals during the loop; they flush into the
     // registry once at the end so the hot path pays no atomic traffic.
-    let trace_events = telemetry.events_recording();
     let mut n_arrivals = 0u64;
     let mut n_transfers = 0u64;
     let mut n_processed = 0u64;
@@ -759,22 +765,12 @@ fn exact_event_loop(
         match ev {
             Event::Arrival { client } => {
                 n_arrivals += 1;
-                if trace_events {
+                if let Some(ctx) = link(client) {
                     let fields = vec![
                         ("client", client.into()),
                         ("queued", (uplink_in_use >= server.max_parallel).into()),
                     ];
-                    match link(client) {
-                        Some(ctx) => {
-                            telemetry.trace_event(
-                                now,
-                                "des.arrival",
-                                ctx.child(HOP_ARRIVAL),
-                                fields,
-                            );
-                        }
-                        None => telemetry.event(now, "des.arrival", fields),
-                    }
+                    telemetry.trace_event(now, "des.arrival", ctx.child(HOP_ARRIVAL), fields);
                 }
                 if uplink_in_use < server.max_parallel {
                     if uplink_in_use == 0 {
@@ -789,16 +785,11 @@ fn exact_event_loop(
             }
             Event::TransferDone { client } => {
                 n_transfers += 1;
-                if trace_events {
+                if let Some(ctx) = link(client) {
                     let fields =
                         vec![("client", client.into()), ("queue", uplink_wait.len().into())];
-                    match link(client) {
-                        Some(ctx) => {
-                            let span = ctx.child(HOP_ARRIVAL).child(HOP_TRANSFER);
-                            telemetry.trace_event(now, "des.transfer_done", span, fields);
-                        }
-                        None => telemetry.event(now, "des.transfer_done", fields),
-                    }
+                    let span = ctx.child(HOP_ARRIVAL).child(HOP_TRANSFER);
+                    telemetry.trace_event(now, "des.transfer_done", span, fields);
                 }
                 // Hand the uplink to the next waiter (if any).
                 if let Some(next) = uplink_wait.pop_front() {
@@ -829,16 +820,10 @@ fn exact_event_loop(
             }
             Event::ProcessDone { client } => {
                 n_processed += 1;
-                if trace_events {
+                if let Some(ctx) = link(client) {
                     let fields = vec![("client", client.into())];
-                    match link(client) {
-                        Some(ctx) => {
-                            let span =
-                                ctx.child(HOP_ARRIVAL).child(HOP_TRANSFER).child(HOP_PROCESS);
-                            telemetry.trace_event(now, "des.process_done", span, fields);
-                        }
-                        None => telemetry.event(now, "des.process_done", fields),
-                    }
+                    let span = ctx.child(HOP_ARRIVAL).child(HOP_TRANSFER).child(HOP_PROCESS);
+                    telemetry.trace_event(now, "des.process_done", span, fields);
                 }
                 completion[client] = now;
                 if let Some(next) = cpu_wait.pop_front() {
@@ -923,6 +908,22 @@ mod tests {
     /// One fault-free cycle with telemetry disabled (the replay path).
     fn cycle(n: usize, srv: &ServerModel, rng: &mut StdRng) -> AsyncCycleReport {
         traced(n, srv, rng, &Telemetry::disabled())
+    }
+
+    /// One fault-free cycle's sorted arrival column, drawn as
+    /// [`run_cycle`] draws it.
+    fn sorted_arrivals(n: usize, srv: &ServerModel, rng: &mut StdRng) -> Vec<f64> {
+        let cycle = srv.cycle.value();
+        let mut arrivals: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..cycle)).collect();
+        sort_arrival_times(&mut arrivals);
+        arrivals
+    }
+
+    /// The exact event loop over sorted arrivals, untagged.
+    fn exact_loop(arrivals: &[f64], srv: &ServerModel) -> LoopOutcome {
+        let entries: Vec<(f64, usize)> =
+            arrivals.iter().enumerate().map(|(client, &t)| (t, client)).collect();
+        exact_event_loop(arrivals.len(), &entries, srv, &Telemetry::disabled(), None)
     }
 
     #[test]
@@ -1022,13 +1023,8 @@ mod tests {
     fn cpu_ties_keep_fifo_order_and_single_occupancy() {
         let srv = server(35);
         let k = 1000usize;
-        let cycle = srv.cycle.value();
-        let mut rng = StdRng::seed_from_u64(0xABCD ^ k as u64);
-        let mut arrivals: Vec<f64> = (0..k).map(|_| rng.gen_range(0.0..cycle)).collect();
-        sort_arrival_times(&mut arrivals);
-        let entries: Vec<(f64, usize)> =
-            arrivals.iter().enumerate().map(|(client, &t)| (t, client)).collect();
-        let exact = exact_event_loop(k, &entries, &srv, &Telemetry::ring(1), None);
+        let arrivals = sorted_arrivals(k, &srv, &mut StdRng::seed_from_u64(0xABCD ^ k as u64));
+        let exact = exact_loop(&arrivals, &srv);
         let process = srv.process_duration.value();
         assert!(
             exact.last_time >= k as f64 * process,
@@ -1156,11 +1152,19 @@ mod tests {
     #[test]
     fn trace_is_jsonl_with_monotone_timestamps() {
         use pb_telemetry::json::{self, Json};
-        let tel = Telemetry::enabled();
+        let tel = Telemetry::enabled().with_tracing();
+        let tag = DesTrace {
+            point_seed: 10,
+            base: 0,
+            deliver_energy_j: 1.0,
+            retry_energy_j: 0.0,
+            fallback_energy_j: 0.0,
+        };
         let mut rng = StdRng::seed_from_u64(10);
-        let _ = traced(50, &server(5), &mut rng, &tel);
-        // 3 events per client + the cycle_done summary.
-        assert_eq!(tel.events().len(), 151);
+        let _ = simulate_async_cycle_memoized(50, &server(5), &mut rng, &tel, Some(&tag), None);
+        // Per client a `trace.sample` root, 3 `des.*` hops and a
+        // `trace.delivered` terminal, plus the cycle_done summary.
+        assert_eq!(tel.events().len(), 251);
         let jsonl = tel.to_jsonl();
         let mut last_t = f64::NEG_INFINITY;
         let mut kinds_seen = 0usize;
@@ -1175,6 +1179,19 @@ mod tests {
             }
         }
         assert_eq!(kinds_seen, 1, "exactly one cycle summary");
+    }
+
+    /// An untagged recording sink does not choose the path: the cycle
+    /// replays, and the sink keeps only the cycle summary.
+    #[test]
+    fn untagged_recording_sink_keeps_the_replay() {
+        let tel = Telemetry::enabled();
+        let mut rng = StdRng::seed_from_u64(10);
+        let _ = traced(50, &server(5), &mut rng, &tel);
+        let events = tel.events();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, "des.cycle_done");
+        assert_eq!(tel.snapshot().counter("des.fastpath.replayed"), Some(50));
     }
 
     #[test]
@@ -1207,16 +1224,17 @@ mod tests {
                 // Energy at least the idle floor.
                 let floor = s.idle_power * r.horizon;
                 prop_assert!(r.server_energy >= floor - Joules(1e-6));
-                // A recording sink forces the exact heap-scheduled loop,
-                // which must land on the replay's bits.
-                let exact = traced(n, &s, &mut StdRng::seed_from_u64(seed), &Telemetry::ring(1));
-                let bits = |r: &AsyncCycleReport| {
-                    [r.horizon, r.receive_busy, r.process_busy, r.mean_latency, r.max_latency]
-                        .map(|q| q.value().to_bits())
+                // The exact heap-scheduled loop must land on the
+                // replay's bits, per client and in every total.
+                let arrivals = sorted_arrivals(n, &s, &mut StdRng::seed_from_u64(seed));
+                let exact = exact_loop(&arrivals, &s);
+                let fast = replay_core(n, &arrivals, None, &s, None);
+                let bits = |o: &LoopOutcome| {
+                    let totals = [o.receive_busy, o.process_busy, o.last_time];
+                    let completion: Vec<u64> = o.completion.iter().map(|c| c.to_bits()).collect();
+                    (totals.map(f64::to_bits), completion, o.peak_queue)
                 };
-                prop_assert_eq!(bits(&exact), bits(&r));
-                prop_assert_eq!(exact.server_energy.value().to_bits(), r.server_energy.value().to_bits());
-                prop_assert_eq!(exact.peak_queue, r.peak_queue);
+                prop_assert_eq!(bits(&exact), bits(&fast));
             }
         }
     }

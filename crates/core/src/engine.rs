@@ -1075,18 +1075,18 @@ mod tests {
     #[test]
     fn telemetry_does_not_perturb_any_backend() {
         // Acceptance criterion: disabling telemetry reproduces
-        // bit-identical simulation results — and so does enabling it.
+        // bit-identical simulation results — and so does enabling it,
+        // with or without causal tags (a tagged DES cycle runs the
+        // exact event loop, an untagged one the replay).
         let spec = spec(10, LossModel::all());
         for backend in Backend::ALL {
             for n in [1usize, 90, 180, 406] {
                 let plain = backend.compare(&spec, n, &SimContext::new(0xBEE));
-                let traced = backend.compare(
-                    &spec,
-                    n,
-                    &SimContext::with_telemetry(0xBEE, Telemetry::enabled()),
-                );
-                assert_eq!(plain.cloud, traced.cloud, "{backend} n = {n}");
-                assert_eq!(plain.edge, traced.edge, "{backend} n = {n}");
+                for tel in [Telemetry::enabled(), Telemetry::enabled().with_tracing()] {
+                    let traced = backend.compare(&spec, n, &SimContext::with_telemetry(0xBEE, tel));
+                    assert_eq!(plain.cloud, traced.cloud, "{backend} n = {n}");
+                    assert_eq!(plain.edge, traced.edge, "{backend} n = {n}");
+                }
             }
         }
     }

@@ -8,8 +8,7 @@
 //! for `pb sweep --faults`: memory stays bounded on million-client runs,
 //! yet the first anomaly leaves a readable black box behind.
 
-use crate::events::{Event, EventSink};
-use std::collections::VecDeque;
+use crate::events::{Event, EventSink, RingBufferSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -59,8 +58,8 @@ pub fn is_trigger(kind: &str) -> bool {
 /// dumps. See the module docs for the retention and trigger model.
 #[derive(Debug)]
 pub struct FlightRecorderSink {
-    per_severity: usize,
-    rings: [Mutex<VecDeque<Event>>; 3],
+    /// The info, warn and error rings, indexed by [`Severity`].
+    rings: [RingBufferSink; 3],
     dump_path: Option<String>,
     max_dumps: u64,
     dumps: AtomicU64,
@@ -75,14 +74,8 @@ impl FlightRecorderSink {
     /// # Panics
     /// Panics when `per_severity` is zero.
     pub fn new(per_severity: usize) -> Self {
-        assert!(per_severity > 0, "flight recorder capacity must be positive");
         FlightRecorderSink {
-            per_severity,
-            rings: [
-                Mutex::new(VecDeque::with_capacity(per_severity.min(1024))),
-                Mutex::new(VecDeque::with_capacity(per_severity.min(1024))),
-                Mutex::new(VecDeque::with_capacity(per_severity.min(1024))),
-            ],
+            rings: std::array::from_fn(|_| RingBufferSink::new(per_severity)),
             dump_path: None,
             max_dumps: 0,
             dumps: AtomicU64::new(0),
@@ -122,8 +115,8 @@ impl FlightRecorderSink {
 
     /// Retained events per severity ring: `(info, warn, error)`.
     pub fn len_by_severity(&self) -> (usize, usize, usize) {
-        let n = |i: usize| self.rings[i].lock().map_or(0, |r| r.len());
-        (n(0), n(1), n(2))
+        let [info, warn, error] = &self.rings;
+        (info.len(), warn.len(), error.len())
     }
 
     /// The merged rings rendered as a `(t, seq)`-sorted JSONL post-mortem.
@@ -149,18 +142,12 @@ impl FlightRecorderSink {
 
 impl EventSink for FlightRecorderSink {
     fn record(&self, event: Event) {
-        let trigger = is_trigger(&event.kind);
-        let ring = &self.rings[Severity::classify(&event.kind).index()];
-        if let Ok(mut r) = ring.lock() {
-            if r.len() == self.per_severity {
-                r.pop_front();
-            }
-            r.push_back(event.clone());
-        }
-        if trigger {
+        let trigger = is_trigger(&event.kind).then(|| event.kind.clone());
+        self.rings[Severity::classify(&event.kind).index()].record(event);
+        if let Some(kind) = trigger {
             self.triggers.fetch_add(1, Ordering::Relaxed);
             if let Ok(mut last) = self.last_trigger.lock() {
-                *last = Some(event.kind.clone());
+                *last = Some(kind);
             }
             if let Some(path) = &self.dump_path {
                 // First-wins within the dump budget: keep the context of
@@ -177,18 +164,13 @@ impl EventSink for FlightRecorderSink {
     }
 
     fn events(&self) -> Vec<Event> {
-        let mut all = Vec::new();
-        for ring in &self.rings {
-            if let Ok(r) = ring.lock() {
-                all.extend(r.iter().cloned());
-            }
-        }
+        let mut all: Vec<Event> = self.rings.iter().flat_map(|r| r.events()).collect();
         all.sort_by_key(|e| e.seq);
         all
     }
 
     fn len(&self) -> usize {
-        self.rings.iter().map(|r| r.lock().map_or(0, |r| r.len())).sum()
+        self.rings.iter().map(|r| r.len()).sum()
     }
 
     fn is_recording(&self) -> bool {

@@ -107,8 +107,8 @@ fn usage() {
     println!("                                  --faults without --trace records into a");
     println!("                                  bounded flight recorder that dumps FILE");
     println!("                                  (default pb-flight.jsonl) on anomalies;");
-    println!("                                  --no-flight opts out (keeps the DES on");
-    println!("                                  its memoized fast path);");
+    println!("                                  --no-flight opts out (skips recording");
+    println!("                                  the per-retry fault.* events);");
     println!("                                  --chrome exports a Perfetto-loadable");
     println!("                                  span view, --openmetrics the metrics");
     println!("  trace FILE [--top K] [--chrome FILE]");
@@ -271,10 +271,11 @@ fn sweep(flags: &HashMap<String, String>) {
     // and either way the simulation results are bit-identical. Faulted
     // sweeps without an explicit trace default to the bounded flight
     // recorder, which auto-dumps a post-mortem JSONL on anomalies
-    // (brown-out, retry exhaustion, conservation mismatch). Any
-    // recording sink — the flight recorder included — forces the DES
-    // off its shape-memoized fast path (events must be observable in
-    // order), so `--no-flight` opts out for throughput-sensitive runs.
+    // (brown-out, retry exhaustion, conservation mismatch). Without
+    // `--causal` no sink changes the DES path: it keeps its
+    // shape-memoized replay. The recorder still records every untagged
+    // `fault.*` event, so `--no-flight` opts out for throughput-sensitive
+    // runs.
     let wants_events = trace_path.is_some() || chrome_path.is_some();
     let flight = if !fault_plan.is_none() && !wants_events && !flags.contains_key("no-flight") {
         Some(std::sync::Arc::new(

@@ -413,6 +413,9 @@ impl ServeState {
     }
 
     fn report(&self) -> DrainReport {
+        // `submit` moves one request's admission counters under this
+        // lock, so a snapshot taken under it never splits them.
+        let _admission = self.inner.lock().unwrap();
         DrainReport {
             submitted: self.submitted.load(Ordering::Relaxed),
             accepted: self.accepted.load(Ordering::Relaxed),

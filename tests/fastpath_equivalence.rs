@@ -1,10 +1,10 @@
 //! The shape-memoized DES fast path pinned against the exact event
 //! loop, bit for bit.
 //!
-//! A recording event sink forces the DES onto the exact per-event
-//! calendar loop (`fast_path_eligible` is false whenever events are
-//! kept), while a metrics-only handle takes the memoized replay. The
-//! two runs must agree on *everything observable*: every energy total,
+//! Causal tags force the DES onto the exact heap-scheduled event loop
+//! (`fast_path_eligible` is false for a tagged cycle), while a
+//! metrics-only handle takes the memoized replay. The two runs must
+//! agree on *everything observable*: every energy total,
 //! the fault ledger (attempts/retries/fallbacks/delivered and the
 //! `delivered + fallbacks + dropouts == active` conservation law), and
 //! every telemetry counter except `des.fastpath.replayed` — the one
@@ -17,6 +17,7 @@ use precision_beekeeping::orchestra::faults::{Brownout, OutageWindow};
 use precision_beekeeping::orchestra::loss::LossModel;
 use precision_beekeeping::orchestra::prelude::*;
 use precision_beekeeping::orchestra::simulation::CycleReport;
+use precision_beekeeping::telemetry::FlightRecorderSink;
 use precision_beekeeping::units::Seconds;
 use proptest::prelude::*;
 use rayon::pool::with_thread_cap;
@@ -91,12 +92,13 @@ fn run(
 }
 
 /// The core pin: fast path (metrics-only telemetry) vs exact loop
-/// (ring sink keeps events, which forces the per-event path), at one
-/// thread cap.
+/// (a tracing ring sink tags every client, which forces the per-event
+/// path), at one thread cap.
 fn assert_equivalent(seed: u64, n: usize, label: char) {
     let plan = severity(label);
     let (fast, fast_counters, replayed) = run(seed, n, &plan, Telemetry::metrics_only());
-    let (exact, exact_counters, exact_replayed) = run(seed, n, &plan, Telemetry::ring(1));
+    let exact_tel = Telemetry::ring(1).with_tracing();
+    let (exact, exact_counters, exact_replayed) = run(seed, n, &plan, exact_tel);
     assert_eq!(fast, exact, "severity {label}, n={n}: report diverged");
     assert_eq!(fast_counters, exact_counters, "severity {label}, n={n}: counters diverged");
     assert_eq!(exact_replayed, 0, "the exact loop must never report replayed clients");
@@ -105,7 +107,7 @@ fn assert_equivalent(seed: u64, n: usize, label: char) {
     }
 
     // Conservation: no sample is ever lost, on either path. (A `NONE`
-    // plan takes the fault-free code path, which keeps no ledger.)
+    // plan keeps no fault ledger: its reports hold the default stats.)
     if label != 'N' {
         let f = &fast.faults;
         assert_eq!(
@@ -145,6 +147,32 @@ fn fastpath_matches_exact_loop_at_1e5_clients() {
         assert_equivalent(23, 100_000, label);
         assert_thread_stable(23, 100_000, label);
     }
+}
+
+/// The default faulted sweep's flight recorder is an untagged
+/// recording sink, so it leaves the DES on the replay: every delivered
+/// client is replayed, the report is bit-identical to telemetry off, and
+/// the recorder still sees every retry-exhaustion fallback (untagged
+/// brown-outs emit no event).
+#[test]
+fn flight_recorder_keeps_the_faulted_des_on_the_fast_path() {
+    init_pool();
+    let dump =
+        std::env::temp_dir().join(format!("pb-flight-fastpath-{}.jsonl", std::process::id()));
+    let recorder = std::sync::Arc::new(
+        FlightRecorderSink::new(4096).with_auto_dump(dump.to_string_lossy().into_owned(), 1),
+    );
+    let tel = Telemetry::with_sink(Box::new(std::sync::Arc::clone(&recorder)));
+    let plan = FaultPlan::mid_severity();
+    let (recorded, _, replayed) = run(7, 10_000, &plan, tel);
+    let _ = std::fs::remove_file(&dump);
+    let (plain, _, _) = run(7, 10_000, &plan, Telemetry::disabled());
+
+    let f = &recorded.faults;
+    assert!(f.delivered > 0);
+    assert_eq!(replayed, f.delivered, "every delivered client must be replayed");
+    assert_eq!(recorded, plain, "the recorder must not perturb the report");
+    assert_eq!(recorder.triggers_fired(), f.fallbacks - f.brownouts);
 }
 
 proptest! {
