@@ -17,7 +17,7 @@ use crate::faults::{
 };
 use crate::server::ServerModel;
 use pb_telemetry::trace::{trace_id, SpanCtx, HOP_ARRIVAL, HOP_PROCESS, HOP_TRANSFER};
-use pb_telemetry::Telemetry;
+use pb_telemetry::{EventBatch, Telemetry};
 use pb_units::{Joules, Seconds, Watts};
 use rand::Rng;
 use std::cmp::Ordering;
@@ -245,6 +245,8 @@ struct Resolved {
 
 /// Resolves every client's class and transfer in client (= sorted
 /// arrival) order, consuming the fault stream exactly once per draw.
+/// The untagged `fault.*` events of the cycle reach the sink as one
+/// batch at the end, ahead of the cycle's `des.cycle_done`.
 fn resolve_transfers<F: Rng + ?Sized>(
     arrivals: &[f64],
     faults: FaultInputs<'_, F>,
@@ -261,6 +263,7 @@ fn resolve_transfers<F: Rng + ?Sized>(
         retries: 0,
         fallbacks: 0,
     };
+    let mut batch = FAULT_BATCH.take();
     for (client, &t) in arrivals.iter().enumerate() {
         let tid = tag.map(|dt| trace_id(dt.point_seed, (dt.base + client) as u64));
         match classes.map_or(ClientClass::Uploader, |c| c.get(client)) {
@@ -288,7 +291,8 @@ fn resolve_transfers<F: Rng + ?Sized>(
                         fallback_energy_j: dt.fallback_energy_j,
                     }
                 });
-                let (a, success) = exact_transfer(plan, Seconds(t), rng, telemetry, tc.as_ref());
+                let (a, success) =
+                    exact_transfer(plan, Seconds(t), rng, telemetry, tc.as_ref(), &mut batch);
                 r.attempts += a;
                 r.retries += a - 1;
                 match success {
@@ -304,6 +308,8 @@ fn resolve_transfers<F: Rng + ?Sized>(
             }
         }
     }
+    telemetry.record_batch(&mut batch);
+    FAULT_BATCH.set(batch);
     r
 }
 
@@ -471,6 +477,10 @@ thread_local! {
         std::cell::RefCell::new(ReplayScratch::default());
     static SORT_SCRATCH: std::cell::RefCell<(Vec<u32>, Vec<f64>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+    /// The fault pre-pass's event staging, reused across server cycles
+    /// (recording clears it).
+    static FAULT_BATCH: std::cell::RefCell<EventBatch> =
+        std::cell::RefCell::new(EventBatch::new());
 }
 
 /// Sorts an arrival-time array ascending, byte-identical to

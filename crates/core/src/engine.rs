@@ -64,7 +64,7 @@ use crate::sweep::ComparisonPoint;
 use crate::timeline::{client_timeline, servers_energy_from_timelines, slot_start_times};
 use crate::ServiceKind;
 use pb_telemetry::trace::trace_id;
-use pb_telemetry::{Counter, Histogram, Telemetry};
+use pb_telemetry::{Counter, EventBatch, Histogram, Telemetry};
 use pb_units::Joules;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -671,6 +671,8 @@ impl CycleEngine for EventTimeline {
         // uploads and delivers at the slot's start: the slot's cost is
         // paid once per client, with no per-client work.
         let per_client = s.columns.is_some() || !plan.transfers_never_fail();
+        // Untagged `fault.*` events, recorded once per server.
+        let mut batch = EventBatch::new();
 
         let mut stats = FaultStats {
             brownouts: s.brownouts as u64,
@@ -751,6 +753,7 @@ impl CycleEngine for EventTimeline {
                                     &mut s.frng,
                                     telemetry,
                                     causal.then_some(&tc),
+                                    &mut batch,
                                 );
                                 stats.attempts += attempts;
                                 stats.retries += attempts - 1;
@@ -780,6 +783,7 @@ impl CycleEngine for EventTimeline {
                     }
                     edge_total += slot_cost * paying_slot_cost as f64;
                 }
+                telemetry.record_batch(&mut batch);
             }
         }
         debug_assert_eq!(idx, s.active, "allocation must cover every active client");

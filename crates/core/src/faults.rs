@@ -60,7 +60,7 @@ use std::str::FromStr;
 use crate::client::ClientModel;
 use crate::server::ServerModel;
 use pb_telemetry::trace::{SpanCtx, HOP_TERMINAL};
-use pb_telemetry::Telemetry;
+use pb_telemetry::{EventBatch, Telemetry};
 use pb_units::{Joules, Seconds};
 use rand::Rng;
 
@@ -474,16 +474,19 @@ pub(crate) struct TransferTrace {
 /// count and the successful attempt's start time (`None` = budget
 /// exhausted, the client falls back to edge inference). Emits
 /// `fault.{outage,packet_drop,retry,fallback}` trace events when the
-/// telemetry sink records events; with a [`TransferTrace`] each event
-/// additionally carries the causal span chain (attempt *k* is hop *k*,
-/// parented on hop *k−1*) and the fallback carries its root cause,
-/// attempt count and energy attribution.
+/// telemetry sink records events. Untagged events are staged on `batch`,
+/// which the caller records once per server cycle; with a
+/// [`TransferTrace`] each event is recorded at once and additionally
+/// carries the causal span chain (attempt *k* is hop *k*, parented on
+/// hop *k−1*), and the fallback carries its root cause, attempt count
+/// and energy attribution.
 pub(crate) fn exact_transfer<R: Rng + ?Sized>(
     plan: &FaultPlan,
     t0: Seconds,
     rng: &mut R,
     telemetry: &Telemetry,
     causal: Option<&TransferTrace>,
+    batch: &mut EventBatch,
 ) -> (u64, Option<Seconds>) {
     let trace = telemetry.events_recording();
     let mut t = t0.value();
@@ -500,12 +503,11 @@ pub(crate) fn exact_transfer<R: Rng + ?Sized>(
         saw_drop |= dropped;
         if trace {
             let kind = if in_outage { "fault.outage" } else { "fault.packet_drop" };
-            let fields = vec![("attempt", (attempt as usize + 1).into())];
+            let attempt_no = ("attempt", (attempt as usize + 1).into());
             match causal {
-                None => telemetry.event(t, kind, fields),
+                None => batch.push(t, kind, [attempt_no]),
                 Some(tc) => {
-                    let mut fields = fields;
-                    fields.push(("client", tc.client.into()));
+                    let fields = vec![attempt_no, ("client", tc.client.into())];
                     telemetry.trace_event(t, kind, SpanCtx::attempt(tc.trace, attempt + 1), fields);
                 }
             }
@@ -515,13 +517,15 @@ pub(crate) fn exact_transfer<R: Rng + ?Sized>(
         }
         t += plan.retry.backoff(attempt + 1, rng).value();
         if trace {
-            let fields = vec![("attempt", (attempt as usize + 2).into())];
+            let attempt_no = ("attempt", (attempt as usize + 2).into());
             match causal {
-                None => telemetry.event(t, "fault.retry", fields),
+                None => batch.push(t, "fault.retry", [attempt_no]),
                 Some(tc) => {
-                    let mut fields = fields;
-                    fields.push(("client", tc.client.into()));
-                    fields.push(("energy_j", tc.retry_energy_j.into()));
+                    let fields = vec![
+                        attempt_no,
+                        ("client", tc.client.into()),
+                        ("energy_j", tc.retry_energy_j.into()),
+                    ];
                     let span = SpanCtx::attempt(tc.trace, attempt + 2);
                     telemetry.trace_event(t, "fault.retry", span, fields);
                 }
@@ -529,20 +533,22 @@ pub(crate) fn exact_transfer<R: Rng + ?Sized>(
         }
     }
     if trace {
-        let fields = vec![("t0", t0.value().into())];
+        let t0_field = ("t0", t0.value().into());
         match causal {
-            None => telemetry.event(t, "fault.fallback", fields),
+            None => batch.push(t, "fault.fallback", [t0_field]),
             Some(tc) => {
                 let cause = match (saw_outage, saw_drop) {
                     (true, true) => "mixed",
                     (true, false) => "outage",
                     _ => "packet-loss",
                 };
-                let mut fields = fields;
-                fields.push(("client", tc.client.into()));
-                fields.push(("attempts", u64::from(max + 1).into()));
-                fields.push(("cause", cause.into()));
-                fields.push(("energy_j", tc.fallback_energy_j.into()));
+                let fields = vec![
+                    t0_field,
+                    ("client", tc.client.into()),
+                    ("attempts", u64::from(max + 1).into()),
+                    ("cause", cause.into()),
+                    ("energy_j", tc.fallback_energy_j.into()),
+                ];
                 let span = SpanCtx::attempt(tc.trace, max + 1).child(HOP_TERMINAL);
                 telemetry.trace_event(t, "fault.fallback", span, fields);
             }
@@ -806,16 +812,18 @@ mod tests {
             p.retry.base_backoff = Seconds(30.0);
         });
         let tel = Telemetry::disabled();
-        let (attempts, success) =
-            exact_transfer(&plan, Seconds(0.0), &mut StdRng::seed_from_u64(1), &tel, None);
+        let resolve = |plan: &FaultPlan, t0| {
+            let mut rng = StdRng::seed_from_u64(1);
+            exact_transfer(plan, t0, &mut rng, &tel, None, &mut EventBatch::new())
+        };
+        let (attempts, success) = resolve(&plan, Seconds(0.0));
         assert_eq!(attempts, 2, "one retry at t = 30 s clears the window");
         assert_eq!(success, Some(Seconds(30.0)));
         // Retries that cannot escape the window exhaust the budget.
         let stuck = plan_with(|p| {
             p.outage = Some(OutageWindow::new(Seconds(0.0), Seconds(1e9)));
         });
-        let (attempts, success) =
-            exact_transfer(&stuck, Seconds(10.0), &mut StdRng::seed_from_u64(1), &tel, None);
+        let (attempts, success) = resolve(&stuck, Seconds(10.0));
         assert_eq!(attempts, 1 + u64::from(stuck.retry.max_retries));
         assert_eq!(success, None);
     }

@@ -4,12 +4,17 @@
 //! serialized as one JSON object per line (JSONL). Sinks decide what
 //! happens to recorded events: kept unbounded ([`BufferSink`]), kept
 //! bounded ([`RingBufferSink`]) or dropped ([`NoopSink`]).
+//!
+//! Hot loops that emit many untagged events stage them in an
+//! [`EventBatch`] and hand the whole batch over at once
+//! ([`crate::Telemetry::record_batch`]): one sequence reservation and
+//! one lock per ring instead of one of each per event.
 
 use crate::json;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// A typed event field value.
 #[derive(Clone, Debug, PartialEq)]
@@ -109,7 +114,8 @@ pub struct Event {
     /// export deterministic (`"seq"` in JSONL).
     pub seq: u64,
     /// Event type, dot-namespaced by layer (e.g. `"des.arrival"`).
-    pub kind: String,
+    /// Kinds are literals, so recording one allocates nothing.
+    pub kind: &'static str,
     /// Extra fields, flattened into the JSONL object.
     pub fields: Vec<(&'static str, Value)>,
 }
@@ -132,7 +138,7 @@ impl Event {
         } else {
             out.push_str("null");
         }
-        let _ = write!(out, ",\"seq\":{},\"kind\":{}", self.seq, json::escape(&self.kind));
+        let _ = write!(out, ",\"seq\":{},\"kind\":{}", self.seq, json::escape(self.kind));
         for (key, value) in &self.fields {
             let _ = write!(out, ",{}:", json::escape(key));
             value.write_json(out);
@@ -141,11 +147,81 @@ impl Event {
     }
 }
 
+/// A reusable staging buffer of events that share no causal tags —
+/// the per-retry `fault.*` events of one server cycle, say.
+///
+/// Events live in two flat columns: one head per event
+/// (`t_sim`, kind, end of its fields) and one field column for all of
+/// them. [`EventBatch::clear`] keeps both allocations, so a batch that
+/// is reused across cycles stages events without allocating once it is
+/// warm. Sequence numbers are assigned when the batch is recorded.
+#[derive(Debug, Default)]
+pub struct EventBatch {
+    heads: Vec<(f64, &'static str, usize)>,
+    fields: Vec<(&'static str, Value)>,
+}
+
+impl EventBatch {
+    /// An empty batch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Stages one event with its fields.
+    #[inline]
+    pub fn push<const N: usize>(
+        &mut self,
+        t_sim: f64,
+        kind: &'static str,
+        fields: [(&'static str, Value); N],
+    ) {
+        self.fields.extend(fields);
+        self.heads.push((t_sim, kind, self.fields.len()));
+    }
+
+    /// Number of staged events.
+    pub fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// True when nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
+    /// Drops the staged events, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.heads.clear();
+        self.fields.clear();
+    }
+
+    /// The staged events in push order, as `(t_sim, kind, fields)`.
+    pub fn iter(&self) -> impl Iterator<Item = (f64, &'static str, &[(&'static str, Value)])> {
+        let mut start = 0;
+        self.heads.iter().map(move |&(t_sim, kind, end)| {
+            let fields = &self.fields[start..end];
+            start = end;
+            (t_sim, kind, fields)
+        })
+    }
+}
+
 /// Destination of recorded events. Implementations must be safe to share
 /// across threads (sweeps record from rayon workers).
 pub trait EventSink: Send + Sync + fmt::Debug {
     /// Accepts one event.
     fn record(&self, event: Event);
+
+    /// Accepts a whole batch; event `i` carries sequence number
+    /// `first_seq + i`. The default builds each [`Event`] and calls
+    /// [`EventSink::record`], so a sink only overrides this to take its
+    /// lock once per batch. Either way the sink must retain exactly what
+    /// per-event recording would.
+    fn record_batch(&self, first_seq: u64, batch: &EventBatch) {
+        for (seq, (t_sim, kind, fields)) in (first_seq..).zip(batch.iter()) {
+            self.record(Event { t_sim, seq, kind, fields: fields.to_vec() });
+        }
+    }
 
     /// A snapshot of the retained events, in recording order.
     fn events(&self) -> Vec<Event>;
@@ -204,6 +280,14 @@ impl EventSink for BufferSink {
         self.events.lock().expect("event buffer poisoned").push(event);
     }
 
+    fn record_batch(&self, first_seq: u64, batch: &EventBatch) {
+        let mut events = self.events.lock().expect("event buffer poisoned");
+        events.reserve(batch.len());
+        for (seq, (t_sim, kind, fields)) in (first_seq..).zip(batch.iter()) {
+            events.push(Event { t_sim, seq, kind, fields: fields.to_vec() });
+        }
+    }
+
     fn events(&self) -> Vec<Event> {
         self.events.lock().expect("event buffer poisoned").clone()
     }
@@ -232,23 +316,53 @@ impl RingBufferSink {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, VecDeque<Event>> {
+        self.events.lock().expect("event ring poisoned")
+    }
+
+    /// Appends one event to the locked ring. A full ring evicts its
+    /// oldest event and reuses that slot's field buffer, so a warm ring
+    /// records without allocating.
+    pub(crate) fn push_recycled(
+        &self,
+        events: &mut VecDeque<Event>,
+        (t_sim, seq, kind): (f64, u64, &'static str),
+        fields: &[(&'static str, Value)],
+    ) {
+        let mut buffer = if events.len() == self.capacity {
+            events.pop_front().expect("a full ring is non-empty").fields
+        } else {
+            Vec::with_capacity(fields.len())
+        };
+        buffer.clear();
+        buffer.extend_from_slice(fields);
+        events.push_back(Event { t_sim, seq, kind, fields: buffer });
+    }
 }
 
 impl EventSink for RingBufferSink {
     fn record(&self, event: Event) {
-        let mut events = self.events.lock().expect("event ring poisoned");
+        let mut events = self.lock();
         if events.len() == self.capacity {
             events.pop_front();
         }
         events.push_back(event);
     }
 
+    fn record_batch(&self, first_seq: u64, batch: &EventBatch) {
+        let mut events = self.lock();
+        for (seq, (t_sim, kind, fields)) in (first_seq..).zip(batch.iter()) {
+            self.push_recycled(&mut events, (t_sim, seq, kind), fields);
+        }
+    }
+
     fn events(&self) -> Vec<Event> {
-        self.events.lock().expect("event ring poisoned").iter().cloned().collect()
+        self.lock().iter().cloned().collect()
     }
 
     fn len(&self) -> usize {
-        self.events.lock().expect("event ring poisoned").len()
+        self.lock().len()
     }
 }
 
@@ -261,7 +375,7 @@ mod tests {
         Event {
             t_sim: t,
             seq,
-            kind: "test".into(),
+            kind: "test",
             fields: vec![("n", 3usize.into()), ("ok", true.into())],
         }
     }
@@ -271,7 +385,7 @@ mod tests {
         let e = Event {
             t_sim: 12.5,
             seq: 7,
-            kind: "des.arrival".into(),
+            kind: "des.arrival",
             fields: vec![
                 ("client", 42u64.into()),
                 ("delta", (-3i64).into()),
@@ -297,7 +411,7 @@ mod tests {
         let e = Event {
             t_sim: 1.0,
             seq: 0,
-            kind: "trace.sample".into(),
+            kind: "trace.sample",
             fields: vec![("trace", Value::Hex(id)), ("zero", Value::Hex(0))],
         };
         let json = e.to_json();

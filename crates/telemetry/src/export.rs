@@ -128,7 +128,7 @@ fn rec_from_event(e: &Event) -> Rec {
         let _ = write!(args, "{}:{}", json::escape(k), value_json(v));
     }
     args.push('}');
-    Rec { t: e.t_sim, seq: e.seq, kind: e.kind.clone(), trace, args_json: args }
+    Rec { t: e.t_sim, seq: e.seq, kind: e.kind.to_string(), trace, args_json: args }
 }
 
 fn rec_from_json(obj: &Json) -> Rec {
@@ -301,11 +301,11 @@ mod tests {
         assert_eq!(openmetrics(&TelemetrySnapshot::default()), "# EOF\n");
     }
 
-    fn traced_event(t: f64, seq: u64, kind: &str, trace: u64) -> Event {
+    fn traced_event(t: f64, seq: u64, kind: &'static str, trace: u64) -> Event {
         Event {
             t_sim: t,
             seq,
-            kind: kind.to_string(),
+            kind,
             fields: vec![("trace", hex(trace).into()), ("client", 3u64.into())],
         }
     }
@@ -316,7 +316,7 @@ mod tests {
         let events = vec![
             traced_event(0.0, 0, "trace.sample", trace),
             traced_event(30.0, 1, "fault.fallback", trace),
-            Event { t_sim: 5.0, seq: 2, kind: "des.cycle_done".into(), fields: vec![] },
+            Event { t_sim: 5.0, seq: 2, kind: "des.cycle_done", fields: vec![] },
         ];
         let text = chrome_trace(&events);
         let parsed = json::parse(&text).expect("valid JSON");

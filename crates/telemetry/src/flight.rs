@@ -7,8 +7,14 @@
 //! the merged rings as a JSONL post-mortem file. It is the default sink
 //! for `pb sweep --faults`: memory stays bounded on million-client runs,
 //! yet the first anomaly leaves a readable black box behind.
+//!
+//! A batch ([`EventSink::record_batch`]) takes each ring's lock once and
+//! writes into recycled slots, so the flood of routine `fault.*` warn
+//! events a faulted sweep produces costs no allocation once the rings
+//! are full. Triggers inside a batch still dump exactly the events up
+//! to and including themselves.
 
-use crate::events::{Event, EventSink, RingBufferSink};
+use crate::events::{Event, EventBatch, EventSink, RingBufferSink};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -64,7 +70,7 @@ pub struct FlightRecorderSink {
     max_dumps: u64,
     dumps: AtomicU64,
     triggers: AtomicU64,
-    last_trigger: Mutex<Option<String>>,
+    last_trigger: Mutex<Option<&'static str>>,
 }
 
 impl FlightRecorderSink {
@@ -105,7 +111,8 @@ impl FlightRecorderSink {
 
     /// Kind of the most recent trigger event, if any fired.
     pub fn last_trigger(&self) -> Option<String> {
-        self.last_trigger.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+        let last = self.last_trigger.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        last.map(str::to_string)
     }
 
     /// The auto-dump path, when armed.
@@ -142,9 +149,9 @@ impl FlightRecorderSink {
 
 impl EventSink for FlightRecorderSink {
     fn record(&self, event: Event) {
-        let trigger = is_trigger(&event.kind).then(|| event.kind.clone());
-        self.rings[Severity::classify(&event.kind).index()].record(event);
-        if let Some(kind) = trigger {
+        let kind = event.kind;
+        self.rings[Severity::classify(kind).index()].record(event);
+        if is_trigger(kind) {
             self.triggers.fetch_add(1, Ordering::Relaxed);
             if let Ok(mut last) = self.last_trigger.lock() {
                 *last = Some(kind);
@@ -160,6 +167,23 @@ impl EventSink for FlightRecorderSink {
                     }
                 }
             }
+        }
+    }
+
+    fn record_batch(&self, first_seq: u64, batch: &EventBatch) {
+        // The rings are locked in index order on the first routed event
+        // and held until a trigger: the trigger takes the `record` path,
+        // whose dump must read the rings.
+        let mut locked = None;
+        for (seq, (t_sim, kind, fields)) in (first_seq..).zip(batch.iter()) {
+            if is_trigger(kind) {
+                locked = None;
+                self.record(Event { t_sim, seq, kind, fields: fields.to_vec() });
+                continue;
+            }
+            let guards = locked.get_or_insert_with(|| self.rings.each_ref().map(|r| r.lock()));
+            let i = Severity::classify(kind).index();
+            self.rings[i].push_recycled(&mut guards[i], (t_sim, seq, kind), fields);
         }
     }
 
@@ -186,6 +210,10 @@ impl EventSink for Arc<FlightRecorderSink> {
         self.as_ref().record(event);
     }
 
+    fn record_batch(&self, first_seq: u64, batch: &EventBatch) {
+        self.as_ref().record_batch(first_seq, batch);
+    }
+
     fn events(&self) -> Vec<Event> {
         self.as_ref().events()
     }
@@ -203,8 +231,8 @@ impl EventSink for Arc<FlightRecorderSink> {
 mod tests {
     use super::*;
 
-    fn ev(t: f64, seq: u64, kind: &str) -> Event {
-        Event { t_sim: t, seq, kind: kind.to_string(), fields: vec![] }
+    fn ev(t: f64, seq: u64, kind: &'static str) -> Event {
+        Event { t_sim: t, seq, kind, fields: vec![] }
     }
 
     #[test]
@@ -284,6 +312,55 @@ mod tests {
             })
             .collect();
         assert_eq!(ts, vec![1.0, 3.0, 5.0]);
+    }
+
+    /// A trigger in the middle of a batch dumps exactly what recording
+    /// the same events one by one dumps: the events up to and including
+    /// the trigger, from rings that have already wrapped.
+    #[test]
+    fn batched_trigger_dumps_like_per_event_recording() {
+        use crate::events::Value;
+        let kinds =
+            ["des.cycle_done", "fault.retry", "fault.outage", "fault.fallback", "fault.retry"];
+        let stream: Vec<(f64, &'static str, u64)> = (0..40u64)
+            .map(|i| {
+                let kind =
+                    if i == 17 || i == 31 { "anomaly.brownout" } else { kinds[i as usize % 5] };
+                ((i % 7) as f64, kind, i)
+            })
+            .collect();
+        let dir = std::env::temp_dir().join(format!("pb_flight_batch_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+
+        let single = FlightRecorderSink::new(3).with_auto_dump(path("single.jsonl"), 4);
+        for (seq, &(t_sim, kind, v)) in (100u64..).zip(&stream) {
+            single.record(Event { t_sim, seq, kind, fields: vec![("v", Value::U64(v))] });
+        }
+        let batched = FlightRecorderSink::new(3).with_auto_dump(path("batched.jsonl"), 4);
+        let mut batch = EventBatch::new();
+        let mut first_seq = 100u64;
+        // Batches of 13, 13, 13 and 1 events: every full batch holds
+        // triggers after ring-wrapping routine events, and the fourth
+        // dump (the one left on disk) fires inside the second batch.
+        for chunk in stream.chunks(13) {
+            for &(t_sim, kind, v) in chunk {
+                batch.push(t_sim, kind, [("v", Value::U64(v))]);
+            }
+            batched.record_batch(first_seq, &batch);
+            first_seq += batch.len() as u64;
+            batch.clear();
+        }
+
+        assert!(single.triggers_fired() > 4, "the stream must trip several triggers");
+        assert_eq!(batched.triggers_fired(), single.triggers_fired());
+        assert_eq!(batched.last_trigger(), single.last_trigger());
+        assert_eq!(batched.dumps_written(), single.dumps_written());
+        assert_eq!(batched.len_by_severity(), single.len_by_severity());
+        assert_eq!(batched.dump_jsonl(), single.dump_jsonl());
+        let on_disk = std::fs::read_to_string(path("batched.jsonl")).expect("dump written");
+        assert_eq!(on_disk, std::fs::read_to_string(path("single.jsonl")).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   with three sinks: an in-memory buffer exported as JSONL
 //!   ([`events::BufferSink`]), a bounded ring buffer
 //!   ([`events::RingBufferSink`]) and a no-op sink
-//!   ([`events::NoopSink`]).
+//!   ([`events::NoopSink`]); hot loops stage untagged events in an
+//!   [`events::EventBatch`] and hand it over once
+//!   ([`Telemetry::record_batch`]).
 //!
 //! The entry point is [`Telemetry`], a cheaply clonable handle that is
 //! either *enabled* (carries a registry and a sink) or *disabled* (a
@@ -57,7 +59,7 @@ pub mod snapshot;
 pub mod span;
 pub mod trace;
 
-pub use events::{BufferSink, Event, EventSink, NoopSink, RingBufferSink, Value};
+pub use events::{BufferSink, Event, EventBatch, EventSink, NoopSink, RingBufferSink, Value};
 pub use flight::FlightRecorderSink;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, MetricsRegistry};
 pub use snapshot::TelemetrySnapshot;
@@ -202,13 +204,28 @@ impl Telemetry {
     /// Appends a sim-time-stamped event to the sink (no-op when disabled
     /// or when the sink drops events). `t_sim` is simulation time in
     /// seconds; the fields become the JSONL record's extra keys.
-    pub fn event(&self, t_sim: f64, kind: &str, fields: Vec<(&'static str, Value)>) {
+    pub fn event(&self, t_sim: f64, kind: &'static str, fields: Vec<(&'static str, Value)>) {
         if let Some(inner) = &self.inner {
             if inner.sink.is_recording() {
                 let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-                inner.sink.record(Event { t_sim, seq, kind: kind.to_string(), fields });
+                inner.sink.record(Event { t_sim, seq, kind, fields });
             }
         }
+    }
+
+    /// Records every staged event of `batch` in push order, then clears
+    /// it. The batch reserves its sequence numbers in one step and
+    /// reaches the sink in one call, so the sink retains the same events
+    /// with the same `seq` values as `batch.len()` calls to
+    /// [`Telemetry::event`] would have left it.
+    pub fn record_batch(&self, batch: &mut EventBatch) {
+        if let Some(inner) = &self.inner {
+            if inner.sink.is_recording() && !batch.is_empty() {
+                let first = inner.seq.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                inner.sink.record_batch(first, batch);
+            }
+        }
+        batch.clear();
     }
 
     /// [`Telemetry::event`] with the span context appended as
@@ -219,7 +236,7 @@ impl Telemetry {
     pub fn trace_event(
         &self,
         t_sim: f64,
-        kind: &str,
+        kind: &'static str,
         span: SpanCtx,
         mut fields: Vec<(&'static str, Value)>,
     ) {

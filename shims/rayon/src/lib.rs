@@ -708,12 +708,23 @@ mod tests {
     #[test]
     fn with_min_len_coarsens_chunks() {
         init_pool();
-        // min_len = len → exactly one chunk → one task executed.
-        let before = pool::stats().tasks_executed;
+        // min_len = len → exactly one chunk. `reduce` calls `identity`
+        // once per non-empty chunk plus once for the final fold; counting
+        // those calls locally keeps other tests' pool jobs out of the
+        // measurement.
+        let identities = AtomicUsize::new(0);
         let v: Vec<usize> = (0..100).collect();
+        let sum = v.par_iter().with_min_len(100).map(|&x| x).reduce(
+            || {
+                identities.fetch_add(1, Ordering::Relaxed);
+                0
+            },
+            |a, b| a + b,
+        );
+        assert_eq!(sum, 4950);
+        assert_eq!(identities.load(Ordering::Relaxed), 2);
         let out: Vec<usize> = v.par_iter().with_min_len(100).map(|&x| x).collect();
-        assert_eq!(out.len(), 100);
-        assert_eq!(pool::stats().tasks_executed - before, 1);
+        assert_eq!(out, v);
     }
 
     #[test]

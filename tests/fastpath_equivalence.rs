@@ -17,11 +17,11 @@ use precision_beekeeping::orchestra::faults::{Brownout, OutageWindow};
 use precision_beekeeping::orchestra::loss::LossModel;
 use precision_beekeeping::orchestra::prelude::*;
 use precision_beekeeping::orchestra::simulation::CycleReport;
-use precision_beekeeping::telemetry::FlightRecorderSink;
+use precision_beekeeping::telemetry::{BufferSink, Event, EventSink, FlightRecorderSink};
 use precision_beekeeping::units::Seconds;
 use proptest::prelude::*;
 use rayon::pool::with_thread_cap;
-use std::sync::Once;
+use std::sync::{Arc, Once};
 
 /// Pin `RAYON_NUM_THREADS=4` (unless the caller chose a value) before
 /// the pool's first lazy initialization, so thread-count comparisons
@@ -173,6 +173,72 @@ fn flight_recorder_keeps_the_faulted_des_on_the_fast_path() {
     assert_eq!(replayed, f.delivered, "every delivered client must be replayed");
     assert_eq!(recorded, plain, "the recorder must not perturb the report");
     assert_eq!(recorder.triggers_fired(), f.fallbacks - f.brownouts);
+}
+
+/// A sink that implements only `record`, so it receives every batch
+/// through the trait's default one-event-at-a-time `record_batch`: the
+/// reference the batched sinks must reproduce.
+#[derive(Debug)]
+struct PerEvent<S>(S);
+
+impl<S: EventSink> EventSink for PerEvent<S> {
+    fn record(&self, event: Event) {
+        self.0.record(event);
+    }
+
+    fn events(&self) -> Vec<Event> {
+        self.0.events()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+/// On one thread, the batched hand-off of the untagged `fault.*` events
+/// is invisible: the flight recorder retains the same events, fires the
+/// same triggers and writes the same post-mortem bytes as per-event
+/// recording, and an untagged JSONL trace is byte-identical.
+#[test]
+fn batched_fault_events_record_like_per_event_calls_at_one_thread() {
+    init_pool();
+    let plan = FaultPlan::mid_severity();
+    let ctx = |tel: &Telemetry| SimContext::with_telemetry(7, tel.clone()).with_fault_plan(plan);
+    for backend in [Backend::Des, Backend::EventTimeline] {
+        let eval =
+            |tel: &Telemetry| with_thread_cap(1, || backend.evaluate(&spec(35), 10_000, &ctx(tel)));
+        let dump = |name: &str| {
+            let file = format!("pb-flight-batch-{name}-{backend}-{}.jsonl", std::process::id());
+            std::env::temp_dir().join(file).to_string_lossy().into_owned()
+        };
+        let recorder = |path: &str| Arc::new(FlightRecorderSink::new(4096).with_auto_dump(path, 1));
+        let (batched_path, reference_path) = (dump("batched"), dump("reference"));
+        let batched = recorder(&batched_path);
+        let reference = recorder(&reference_path);
+        let batched_report = eval(&Telemetry::with_sink(Box::new(Arc::clone(&batched))));
+        let reference_report =
+            eval(&Telemetry::with_sink(Box::new(PerEvent(Arc::clone(&reference)))));
+        assert_eq!(batched_report, reference_report, "{backend}: the sink perturbed the report");
+        assert!(batched.triggers_fired() > 0, "{backend}: the mid plan must trip the recorder");
+        assert_eq!(batched.triggers_fired(), reference.triggers_fired(), "{backend}");
+        assert_eq!(batched.len_by_severity(), reference.len_by_severity(), "{backend}");
+        assert_eq!(batched.dump_jsonl(), reference.dump_jsonl(), "{backend}");
+        let written = |path: &str| {
+            let text = std::fs::read_to_string(path).expect("post-mortem written");
+            let _ = std::fs::remove_file(path);
+            text
+        };
+        assert_eq!(written(&batched_path), written(&reference_path), "{backend}: post-mortem");
+
+        let trace = |tel: Telemetry| {
+            eval(&tel);
+            tel.to_jsonl()
+        };
+        let buffered = trace(Telemetry::enabled());
+        assert!(buffered.contains("\"kind\":\"fault.retry\""), "{backend}: no fault events");
+        let per_event = trace(Telemetry::with_sink(Box::new(PerEvent(BufferSink::new()))));
+        assert_eq!(buffered, per_event, "{backend}: untagged trace diverged");
+    }
 }
 
 proptest! {
