@@ -38,13 +38,13 @@ const REGRESSION_FACTOR: f64 = 1.25;
 /// Pinned warm-path latencies (milliseconds) from `BENCH_dsp.json` on the
 /// reference box — see that file's committed copy for provenance.
 const DSP_WARM_MS: &[(&str, f64)] = &[
-    ("clip_to_mel", 6.117),
-    ("clip_to_mfcc13", 13.252),
+    ("clip_to_mel", 3.670),
+    ("clip_to_mfcc13", 11.916),
     ("cnn_forward_100px", 10.576),
     ("cnn_forward_100px_int8", 3.965),
     ("conv3x3_8c_50px_gemm", 0.352),
-    ("end_to_end_clip_to_prediction", 17.198),
-    ("end_to_end_batch8", 90.131),
+    ("end_to_end_clip_to_prediction", 14.924),
+    ("end_to_end_batch8", 34.202),
 ];
 
 /// Pinned throughput floors (clients/second) from `BENCH_scale.json`,

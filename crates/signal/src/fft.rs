@@ -1,25 +1,64 @@
 //! Iterative radix-2 FFT.
 //!
 //! The feature pipeline runs hundreds of 2048-point transforms per clip, so
-//! the kernel is the classic in-place iterative Cooley–Tukey with a
-//! precomputed twiddle table. Power-of-two lengths only — the paper's
+//! the kernel is the classic in-place iterative Cooley–Tukey with
+//! precomputed twiddles. Power-of-two lengths only — the paper's
 //! n_fft = 2048 qualifies.
+//!
+//! The kernel works on split real/imaginary columns. Stages h = 1 and 2
+//! run as one straight-line pass; every later stage is one call to
+//! `stage`, whose separate slice arguments let the compiler prove them
+//! disjoint and vectorize the butterfly loop. Each butterfly is the same
+//! `Complex` arithmetic, in the same order, as the textbook
+//! array-of-structs loop, so the layout changes speed, not bits.
 
 use crate::complex::Complex;
 
 /// A planned FFT of a fixed power-of-two size.
 ///
-/// Planning precomputes the bit-reversal permutation and twiddle factors so
-/// repeated transforms (one per STFT frame) do no trigonometry.
+/// Planning precomputes the bit-reversal permutations and twiddle factors
+/// so repeated transforms (one per STFT frame) do no trigonometry.
 #[derive(Clone, Debug)]
 pub struct Fft {
     n: usize,
     rev: Vec<u32>,
-    /// Twiddles for the forward transform: w[k] = e^{-2πik/n}, k < n/2.
-    twiddles: Vec<Complex>,
     /// Bit-reversal permutation for the n/2-point sub-transform used by the
     /// packed real-input path (empty for n < 2).
     half_rev: Vec<u32>,
+    /// Per-stage twiddles as split columns: the stage of half-width `h`
+    /// reads `w_n^{k·n/(2h)}`, k < h, at `[h − 1, 2h − 1)`. The last stage
+    /// (h = n/2) holds the whole table `w_n^k = e^{-2πik/n}`, k < n/2.
+    tw_re: Vec<f64>,
+    tw_im: Vec<f64>,
+}
+
+/// Split-format working buffers for [`Fft::windowed_power_into`], reused
+/// across frames so the transform allocates nothing once warm.
+///
+/// Both columns start on a 64-byte boundary whatever address the
+/// allocator hands out. With a column at 16 mod 32 bytes, half the 32-byte
+/// loads of the vectorized stages split a cache line and the paper's
+/// n = 2048 power transform runs about 13 % slower, so its speed would
+/// depend on the heap's state and change from one process to the next.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FftScratch {
+    buf: Vec<f64>,
+}
+
+impl FftScratch {
+    /// f64 values per 64-byte cache line.
+    const LINE: usize = 64 / std::mem::size_of::<f64>();
+
+    /// Two disjoint columns of `m` values, each starting on a cache line.
+    fn columns(&mut self, m: usize) -> (&mut [f64], &mut [f64]) {
+        let stride = m.next_multiple_of(Self::LINE);
+        self.buf.resize(2 * stride + Self::LINE, 0.0);
+        // `align_offset` may decline (usize::MAX); the columns then stay
+        // unaligned, which costs speed only.
+        let skew = self.buf.as_ptr().align_offset(64).min(Self::LINE);
+        let (re, im) = self.buf[skew..].split_at_mut(stride);
+        (&mut re[..m], &mut im[..m])
+    }
 }
 
 fn bit_reversal_table(n: usize) -> Vec<u32> {
@@ -36,10 +75,20 @@ impl Fft {
         assert!(n.is_power_of_two(), "FFT size must be a power of two, got {n}");
         let rev = bit_reversal_table(n);
         let half_rev = bit_reversal_table(n / 2);
-        let twiddles = (0..n / 2)
+        let table: Vec<Complex> = (0..n / 2)
             .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
             .collect();
-        Fft { n, rev, twiddles, half_rev }
+        let (mut tw_re, mut tw_im) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut h = 1;
+        while h < n {
+            let stride = n / (2 * h);
+            for k in 0..h {
+                tw_re.push(table[k * stride].re);
+                tw_im.push(table[k * stride].im);
+            }
+            h <<= 1;
+        }
+        Fft { n, rev, half_rev, tw_re, tw_im }
     }
 
     /// Transform size.
@@ -54,21 +103,41 @@ impl Fft {
         self.n <= 1
     }
 
+    /// Twiddle columns of the stage with half-width `h`.
+    fn stage_twiddles(&self, h: usize) -> (&[f64], &[f64]) {
+        (&self.tw_re[h - 1..2 * h - 1], &self.tw_im[h - 1..2 * h - 1])
+    }
+
     /// In-place forward DFT: `X[k] = Σ x[j]·e^{-2πijk/n}`.
     pub fn forward(&self, data: &mut [Complex]) {
-        assert_eq!(data.len(), self.n, "buffer length must equal FFT size");
-        self.permute(data);
-        self.butterflies(data, false);
+        self.complex_transform(data, false);
     }
 
     /// In-place inverse DFT (normalized by 1/n).
     pub fn inverse(&self, data: &mut [Complex]) {
-        assert_eq!(data.len(), self.n, "buffer length must equal FFT size");
-        self.permute(data);
-        self.butterflies(data, true);
+        self.complex_transform(data, true);
         let k = 1.0 / self.n as f64;
         for z in data.iter_mut() {
             *z = z.scale(k);
+        }
+    }
+
+    /// Deinterleaves `data` into bit-reversed split scratch, runs the
+    /// kernel and interleaves back. The inverse conjugates on the way in
+    /// and out, which equals running the butterflies on conjugated
+    /// twiddles.
+    fn complex_transform(&self, data: &mut [Complex], inverse: bool) {
+        assert_eq!(data.len(), self.n, "buffer length must equal FFT size");
+        let sign = if inverse { -1.0 } else { 1.0 };
+        let mut re = vec![0.0; self.n];
+        let mut im = vec![0.0; self.n];
+        for (z, &r) in data.iter().zip(&self.rev) {
+            re[r as usize] = z.re;
+            im[r as usize] = sign * z.im;
+        }
+        self.butterflies(&mut re, &mut im);
+        for (z, (&r, &i)) in data.iter_mut().zip(re.iter().zip(&im)) {
+            *z = Complex::new(r, sign * i);
         }
     }
 
@@ -84,8 +153,7 @@ impl Fft {
         out
     }
 
-    /// Allocation-free [`Fft::forward_real`]: writes the `n/2 + 1`
-    /// non-redundant bins into `out`, which doubles as the working buffer.
+    /// [`Fft::forward_real`] into a caller-owned `n/2 + 1`-bin buffer.
     pub fn forward_real_into(&self, signal: &[f64], out: &mut [Complex]) {
         assert_eq!(signal.len(), self.n, "signal length must equal FFT size");
         assert_eq!(out.len(), self.n / 2 + 1, "output length must be n/2 + 1");
@@ -94,92 +162,194 @@ impl Fft {
             return;
         }
         let m = self.n / 2;
-        // Pack z[j] = x[2j] + i·x[2j+1] and transform at size m in place.
-        for (z, pair) in out[..m].iter_mut().zip(signal.chunks_exact(2)) {
-            *z = Complex::new(pair[0], pair[1]);
+        let mut re = vec![0.0; m];
+        let mut im = vec![0.0; m];
+        for (&r, pair) in self.half_rev.iter().zip(signal.chunks_exact(2)) {
+            re[r as usize] = pair[0];
+            im[r as usize] = pair[1];
         }
-        for i in 0..m {
-            let j = self.half_rev[i] as usize;
-            if i < j {
-                out.swap(i, j);
-            }
-        }
-        // Butterflies at size m reuse the size-n twiddle table: the stage
-        // twiddle w_m^{k·(m/len)} equals w_n^{k·(n/len)}.
-        self.butterflies_sized(&mut out[..m]);
-        // Unzip: with E_k/O_k the transforms of the even/odd samples,
-        // Z_k = E_k + i·O_k and Hermitian symmetry gives
-        // E_k = (Z_k + conj(Z_{m−k}))/2, O_k = (Z_k − conj(Z_{m−k}))/(2i),
-        // X_k = E_k + w_n^k·O_k, X_{m−k} = conj(E_k) + w_n^{m−k}·conj(O_k).
-        let z0 = out[0];
+        self.butterflies(&mut re, &mut im);
+        let (w_re, w_im) = self.stage_twiddles(m);
+        let z0 = Complex::new(re[0], im[0]);
         out[0] = Complex::from_real(z0.re + z0.im);
         out[m] = Complex::from_real(z0.re - z0.im);
-        let neg_half_i = Complex::new(0.0, -0.5);
         for k in 1..=m / 2 {
             let j = m - k;
-            let zk = out[k];
-            let zj = out[j];
-            let e = (zk + zj.conj()).scale(0.5);
-            let o = (zk - zj.conj()) * neg_half_i;
-            out[k] = e + self.twiddles[k] * o;
+            let (xk, xj) = unzip_pair(
+                Complex::new(re[k], im[k]),
+                Complex::new(re[j], im[j]),
+                Complex::new(w_re[k], w_im[k]),
+                Complex::new(w_re[j], w_im[j]),
+            );
+            out[k] = xk;
             if j != k {
-                out[j] = e.conj() + self.twiddles[j] * o.conj();
+                out[j] = xj;
             }
         }
     }
 
-    fn permute(&self, data: &mut [Complex]) {
-        for i in 0..self.n {
-            let j = self.rev[i] as usize;
-            if i < j {
-                data.swap(i, j);
-            }
-        }
-    }
-
-    /// Forward butterflies over a bit-reversed buffer whose length divides
-    /// `self.n`; twiddles are read at the appropriately widened stride.
-    fn butterflies_sized(&self, data: &mut [Complex]) {
-        let m = data.len();
-        let mut len = 2;
-        while len <= m {
-            let half = len / 2;
-            let stride = self.n / len;
-            for start in (0..m).step_by(len) {
-                for k in 0..half {
-                    let w = self.twiddles[k * stride];
-                    let a = data[start + k];
-                    let b = data[start + k + half] * w;
-                    data[start + k] = a + b;
-                    data[start + k + half] = a - b;
-                }
-            }
-            len <<= 1;
-        }
-    }
-
-    fn butterflies(&self, data: &mut [Complex], inverse: bool) {
-        if !inverse {
-            self.butterflies_sized(data);
+    /// Power spectrum `|X_k|²`, k = 0..=n/2, of the real frame
+    /// `frame[i]·window[i]`, written into `power`.
+    ///
+    /// The hot path of the STFT: the windowed even/odd samples are packed
+    /// straight into bit-reversed split order, transformed at size n/2 and
+    /// unzipped into power without materializing the complex bins.
+    pub(crate) fn windowed_power_into(
+        &self,
+        frame: &[f64],
+        window: &[f64],
+        scratch: &mut FftScratch,
+        power: &mut [f64],
+    ) {
+        assert_eq!(frame.len(), self.n, "frame length must equal FFT size");
+        assert_eq!(window.len(), self.n, "window length must equal FFT size");
+        assert_eq!(power.len(), self.n / 2 + 1, "power length must be n/2 + 1");
+        if self.n == 1 {
+            power[0] = Complex::from_real(frame[0] * window[0]).norm_sqr();
             return;
         }
-        let n = self.n;
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let stride = n / len;
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let w = self.twiddles[k * stride].conj();
-                    let a = data[start + k];
-                    let b = data[start + k + half] * w;
-                    data[start + k] = a + b;
-                    data[start + k + half] = a - b;
-                }
-            }
-            len <<= 1;
+        let m = self.n / 2;
+        let (re, im) = scratch.columns(m);
+        // z_j = x_{2j}·w_{2j} + i·x_{2j+1}·w_{2j+1}, stored at rev(j).
+        for (&r, (x, w)) in
+            self.half_rev.iter().zip(frame.chunks_exact(2).zip(window.chunks_exact(2)))
+        {
+            re[r as usize] = x[0] * w[0];
+            im[r as usize] = x[1] * w[1];
+        }
+        self.butterflies(re, im);
+        let (w_re, w_im) = self.stage_twiddles(m);
+        let (lo, hi) = power.split_at_mut(m / 2 + 1);
+        unzip_power(re, im, w_re, w_im, lo, hi);
+    }
+
+    /// Forward butterflies over a bit-reversed split buffer whose length
+    /// divides `self.n`.
+    fn butterflies(&self, re: &mut [f64], im: &mut [f64]) {
+        let len = re.len();
+        let mut h = 1;
+        if len >= 4 {
+            let (w1_re, w1_im) = self.stage_twiddles(1);
+            let (w2_re, w2_im) = self.stage_twiddles(2);
+            first_two_stages(
+                re,
+                im,
+                Complex::new(w1_re[0], w1_im[0]),
+                [Complex::new(w2_re[0], w2_im[0]), Complex::new(w2_re[1], w2_im[1])],
+            );
+            h = 4;
+        }
+        while h < len {
+            let (w_re, w_im) = self.stage_twiddles(h);
+            stage(re, im, w_re, w_im);
+            h <<= 1;
         }
     }
+}
+
+/// The radix-2 butterfly: `(a + b·w, a − b·w)`.
+#[inline(always)]
+fn butterfly(a: Complex, b: Complex, w: Complex) -> (Complex, Complex) {
+    let b = b * w;
+    (a + b, a - b)
+}
+
+/// Stages h = 1 and h = 2 as one straight-line pass over blocks of four.
+/// The h = 2 twiddle w₄¹ = cis(−π/2) is multiplied, not replaced by −i:
+/// its real part is 6e-17, not 0.
+fn first_two_stages(re: &mut [f64], im: &mut [f64], w1: Complex, w2: [Complex; 2]) {
+    for (r, i) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
+        let z = [0, 1, 2, 3].map(|k| Complex::new(r[k], i[k]));
+        let (a0, a1) = butterfly(z[0], z[1], w1);
+        let (a2, a3) = butterfly(z[2], z[3], w1);
+        let (b0, b2) = butterfly(a0, a2, w2[0]);
+        let (b1, b3) = butterfly(a1, a3, w2[1]);
+        for (k, b) in [b0, b1, b2, b3].into_iter().enumerate() {
+            r[k] = b.re;
+            i[k] = b.im;
+        }
+    }
+}
+
+/// One radix-2 stage of half-width `h = tw_re.len()` over every block of
+/// `2h`. Kept out of line with each column a separate argument: that is
+/// what lets the compiler prove the columns disjoint and vectorize.
+#[inline(never)]
+fn stage(re: &mut [f64], im: &mut [f64], tw_re: &[f64], tw_im: &[f64]) {
+    let h = tw_re.len();
+    let tw_im = &tw_im[..h];
+    for (r, i) in re.chunks_exact_mut(2 * h).zip(im.chunks_exact_mut(2 * h)) {
+        let (r_lo, r_hi) = r.split_at_mut(h);
+        let (i_lo, i_hi) = i.split_at_mut(h);
+        for k in 0..h {
+            let (lo, hi) = butterfly(
+                Complex::new(r_lo[k], i_lo[k]),
+                Complex::new(r_hi[k], i_hi[k]),
+                Complex::new(tw_re[k], tw_im[k]),
+            );
+            r_lo[k] = lo.re;
+            i_lo[k] = lo.im;
+            r_hi[k] = hi.re;
+            i_hi[k] = hi.im;
+        }
+    }
+}
+
+/// Unzips bins k and j = m − k of the packed real transform. With E/O the
+/// transforms of the even/odd samples, Z_k = E_k + i·O_k and Hermitian
+/// symmetry gives E_k = (Z_k + conj(Z_j))/2, O_k = (Z_k − conj(Z_j))/(2i),
+/// X_k = E_k + w_n^k·O_k and X_j = conj(E_k) + w_n^j·conj(O_k).
+#[inline(always)]
+fn unzip_pair(zk: Complex, zj: Complex, wk: Complex, wj: Complex) -> (Complex, Complex) {
+    let e = (zk + zj.conj()).scale(0.5);
+    let o = (zk - zj.conj()) * Complex::new(0.0, -0.5);
+    (e + wk * o, e.conj() + wj * o.conj())
+}
+
+/// `|X_k|²` for k = 0..=m from the transformed packed buffer (`re`/`im`
+/// of length m) and the size-n twiddles `w_n^k`, k < m. The bins arrive
+/// split at the middle, `lo` = 0..=m/2 and `hi` = m/2+1..=m, as separate
+/// arguments: the compiler can then prove the two halves disjoint and
+/// vectorize the loop that fills them from both ends.
+#[inline(never)]
+fn unzip_power(
+    re: &[f64],
+    im: &[f64],
+    tw_re: &[f64],
+    tw_im: &[f64],
+    lo: &mut [f64],
+    hi: &mut [f64],
+) {
+    let m = re.len();
+    let q = m / 2;
+    let (lo, hi) = (&mut lo[..=q], &mut hi[..m - q]);
+    lo[0] = Complex::from_real(re[0] + im[0]).norm_sqr();
+    hi[m - q - 1] = Complex::from_real(re[0] - im[0]).norm_sqr();
+    if q == 0 {
+        return;
+    }
+    // Bins k = 1..q pair with j = m − k, from m−1 down to q+1. Slicing
+    // both halves to the same length q − 1 lets the loop run check-free.
+    let n = q - 1;
+    let (p_lo, p_hi) = (&mut lo[1..q], &mut hi[..n]);
+    let (k_re, k_im, k_wr, k_wi) = (&re[1..q], &im[1..q], &tw_re[1..q], &tw_im[1..q]);
+    let (j_re, j_im, j_wr, j_wi) =
+        (&re[q + 1..m], &im[q + 1..m], &tw_re[q + 1..m], &tw_im[q + 1..m]);
+    for i in 0..n {
+        let r = n - 1 - i;
+        let (xk, xj) = unzip_pair(
+            Complex::new(k_re[i], k_im[i]),
+            Complex::new(j_re[r], j_im[r]),
+            Complex::new(k_wr[i], k_wi[i]),
+            Complex::new(j_wr[r], j_wi[r]),
+        );
+        p_lo[i] = xk.norm_sqr();
+        p_hi[r] = xj.norm_sqr();
+    }
+    // k = j = m/2: the pair collapses to the single bin X_q.
+    let zq = Complex::new(re[q], im[q]);
+    let (xq, _) = unzip_pair(zq, zq, Complex::new(tw_re[q], tw_im[q]), Complex::ZERO);
+    lo[q] = xq.norm_sqr();
 }
 
 /// Convenience one-shot forward FFT (plans internally).
@@ -215,6 +385,61 @@ mod tests {
 
     fn close(a: Complex, b: Complex, eps: f64) -> bool {
         (a.re - b.re).abs() < eps && (a.im - b.im).abs() < eps
+    }
+
+    /// The array-of-structs algorithm the split kernel replaced, kept as the
+    /// bit-identity oracle: window, pack, swap permutation, radix-2 stages
+    /// reading the size-n table at stride n/len, unzip, `norm_sqr`.
+    fn reference_power(frame: &[f64], window: &[f64]) -> Vec<f64> {
+        let n = frame.len();
+        let windowed: Vec<f64> = frame.iter().zip(window).map(|(x, w)| x * w).collect();
+        if n == 1 {
+            return vec![Complex::from_real(windowed[0]).norm_sqr()];
+        }
+        let twiddles: Vec<Complex> = (0..n / 2)
+            .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
+            .collect();
+        let m = n / 2;
+        let mut z: Vec<Complex> =
+            windowed.chunks_exact(2).map(|p| Complex::new(p[0], p[1])).collect();
+        z.push(Complex::ZERO);
+        let rev = bit_reversal_table(m);
+        for (i, &r) in rev.iter().enumerate() {
+            let j = r as usize;
+            if i < j {
+                z.swap(i, j);
+            }
+        }
+        let mut len = 2;
+        while len <= m {
+            let half = len / 2;
+            let stride = n / len;
+            for start in (0..m).step_by(len) {
+                for k in 0..half {
+                    let w = twiddles[k * stride];
+                    let a = z[start + k];
+                    let b = z[start + k + half] * w;
+                    z[start + k] = a + b;
+                    z[start + k + half] = a - b;
+                }
+            }
+            len <<= 1;
+        }
+        let z0 = z[0];
+        z[0] = Complex::from_real(z0.re + z0.im);
+        z[m] = Complex::from_real(z0.re - z0.im);
+        let neg_half_i = Complex::new(0.0, -0.5);
+        for k in 1..=m / 2 {
+            let j = m - k;
+            let (zk, zj) = (z[k], z[j]);
+            let e = (zk + zj.conj()).scale(0.5);
+            let o = (zk - zj.conj()) * neg_half_i;
+            z[k] = e + twiddles[k] * o;
+            if j != k {
+                z[j] = e.conj() + twiddles[j] * o.conj();
+            }
+        }
+        z.iter().map(|x| x.norm_sqr()).collect()
     }
 
     #[test]
@@ -369,6 +594,21 @@ mod tests {
     }
 
     #[test]
+    fn scratch_columns_start_on_a_cache_line() {
+        // Fresh scratches of several sizes land at several heap offsets;
+        // every column must still start on a 64-byte boundary.
+        let mut keep = Vec::new();
+        for m in [1, 3, 8, 100, 1024, 1024, 1024, 4096] {
+            let mut scratch = FftScratch::default();
+            let (re, im) = scratch.columns(m);
+            assert_eq!((re.len(), im.len()), (m, m));
+            assert_eq!(re.as_ptr() as usize % 64, 0, "re column of m = {m}");
+            assert_eq!(im.as_ptr() as usize % 64, 0, "im column of m = {m}");
+            keep.push(scratch);
+        }
+    }
+
+    #[test]
     fn linearity() {
         let mut rng = StdRng::seed_from_u64(4);
         let n = 64;
@@ -401,6 +641,29 @@ mod tests {
                 for (a, b) in data.iter().zip(&original) {
                     prop_assert!((a.re - b.re).abs() < 1e-9);
                     prop_assert!(a.im.abs() < 1e-9);
+                }
+            }
+
+            /// The split kernel's power spectrum is bit-for-bit the
+            /// array-of-structs reference's, at every size from 1 to 4096.
+            #[test]
+            fn windowed_power_is_bit_identical_to_the_reference(
+                values in proptest::collection::vec(-1.0f64..1.0, 4096),
+                bits in 0u32..13,
+            ) {
+                let n = 1usize << bits;
+                let frame = &values[..n];
+                let window = crate::window::WindowKind::Hann.coefficients(n);
+                let mut power = vec![f64::NAN; n / 2 + 1];
+                Fft::new(n).windowed_power_into(
+                    frame, &window, &mut FftScratch::default(), &mut power,
+                );
+                let expect = reference_power(frame, &window);
+                for (k, (got, want)) in power.iter().zip(&expect).enumerate() {
+                    prop_assert_eq!(
+                        got.to_bits(), want.to_bits(),
+                        "bin {} of n={}: {} vs {}", k, n, got, want
+                    );
                 }
             }
 

@@ -142,6 +142,9 @@ impl MelFilterbank {
     }
 }
 
+/// Smallest power the dB conversion distinguishes from silence.
+const POWER_FLOOR: f64 = 1e-30;
+
 /// A log-mel spectrogram in decibels relative to the clip maximum (librosa
 /// `power_to_db` convention with `ref=max`), stored as one flat row-major
 /// buffer: `data[frame * n_mels + band]`.
@@ -167,22 +170,28 @@ impl MelSpectrogram {
     }
 
     /// Computes a log-mel spectrogram with explicit STFT and filterbank.
+    /// Each frame's power row streams straight into the bank; no
+    /// spectrogram is stored.
     pub fn compute(signal: &[f64], stft: &Stft, bank: &MelFilterbank) -> Self {
-        let power = stft.power_spectrogram(signal);
-        let n_frames = power.n_frames();
+        let n_frames = stft.params().frames_for(signal.len());
         let n_mels = bank.n_mels();
         let mut data = vec![0.0; n_frames * n_mels];
-        for (row, frame) in data.chunks_exact_mut(n_mels).zip(power.frames()) {
-            bank.apply_into(frame, row);
-        }
+        stft.for_each_power_frame(signal, |f, power| {
+            bank.apply_into(power, &mut data[f * n_mels..(f + 1) * n_mels]);
+        });
+        Self::power_to_db(&mut data);
+        MelSpectrogram { data, n_frames, n_mels }
+    }
 
-        // power → dB referenced to the clip maximum, floored at −TOP_DB.
-        let max = data.iter().fold(f64::MIN_POSITIVE, |a, &b| a.max(b));
-        for p in &mut data {
-            let db = 10.0 * (p.max(1e-30) / max).log10();
+    /// Power → dB referenced to the clip maximum, floored at −TOP_DB. The
+    /// reference is never below the 1e-30 power floor, so a silent clip
+    /// reads 0 dB rather than a huge positive level.
+    fn power_to_db(data: &mut [f64]) {
+        let max = data.iter().fold(POWER_FLOOR, |a, &b| a.max(b));
+        for p in data {
+            let db = 10.0 * (p.max(POWER_FLOOR) / max).log10();
             *p = db.max(-Self::TOP_DB);
         }
-        MelSpectrogram { data, n_frames, n_mels }
     }
 
     /// Builds from one `Vec` per frame (all frames must agree in length).
@@ -380,6 +389,46 @@ mod tests {
         let means = mel.band_means();
         let peak = means.iter().enumerate().max_by(|a, b| a.1.partial_cmp(b.1).unwrap()).unwrap().0;
         assert!(peak < 16, "300 Hz should fall in a low mel band, got {peak}");
+    }
+
+    #[test]
+    fn streamed_compute_matches_the_stored_spectrogram() {
+        let sr = 22_050.0;
+        let signal: Vec<f64> = (0..9000)
+            .map(|i| {
+                let t = i as f64 / sr;
+                (2.0 * std::f64::consts::PI * 250.0 * t).sin()
+                    + 0.3 * (2.0 * std::f64::consts::PI * 2100.0 * t).cos()
+            })
+            .collect();
+        let stft = Stft::new(SpectrogramParams { n_fft: 1024, hop: 384, window: WindowKind::Hann });
+        let bank = MelFilterbank::new(40, 1024, sr, 0.0, sr / 2.0);
+        let power = stft.power_spectrogram(&signal);
+        let mut expect = vec![0.0; power.n_frames() * 40];
+        for (row, frame) in expect.chunks_exact_mut(40).zip(power.frames()) {
+            bank.apply_into(frame, row);
+        }
+        let max = expect.iter().fold(1e-30f64, |a, &b| a.max(b));
+        for p in &mut expect {
+            *p = (10.0 * (p.max(1e-30) / max).log10()).max(-MelSpectrogram::TOP_DB);
+        }
+        let mel = MelSpectrogram::compute(&signal, &stft, &bank);
+        assert_eq!(mel.n_frames(), power.n_frames());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(mel.data()), bits(&expect));
+    }
+
+    #[test]
+    fn silent_and_near_silent_clips_read_at_most_0_db() {
+        let stft = Stft::new(SpectrogramParams { n_fft: 512, hop: 256, window: WindowKind::Hann });
+        let bank = MelFilterbank::new(32, 512, 22_050.0, 0.0, 11_025.0);
+        let silent = MelSpectrogram::compute(&vec![0.0; 4096], &stft, &bank);
+        assert!(silent.n_frames() > 0);
+        assert!(silent.data().iter().all(|&v| v == 0.0), "silence must read 0 dB");
+        let faint: Vec<f64> = (0..4096).map(|i| 1e-20 * (i as f64 * 0.3).sin()).collect();
+        let faint = MelSpectrogram::compute(&faint, &stft, &bank);
+        let peak = faint.data().iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+        assert!(peak <= 0.0, "a 1e-20 clip peaks at {peak} dB");
     }
 
     #[test]

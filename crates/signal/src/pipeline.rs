@@ -13,6 +13,7 @@ use crate::mfcc::Mfcc;
 use crate::stft::{SpectrogramParams, Stft};
 use crate::window::WindowKind;
 use pb_telemetry::Telemetry;
+use rayon::prelude::*;
 
 /// A planned clip→features pipeline: one STFT plan plus one mel filterbank,
 /// built once and reused for every clip.
@@ -92,12 +93,14 @@ impl MelPipeline {
 
     /// Batch variant of [`MelPipeline::image`]: one normalized `side × side`
     /// spectrogram image per clip, sharing this pipeline's plans across the
-    /// whole batch. Records one `dsp.image` span per clip plus a
-    /// `dsp.batch.size` gauge, so batched callers show up in telemetry with
-    /// the same per-clip histograms as the loop they replace.
-    pub fn images<S: AsRef<[f64]>>(&self, clips: &[S], side: usize) -> Vec<Image> {
+    /// whole batch and fanning the clips over the pool. Each image is a pure
+    /// function of its clip, so order and bits do not depend on the thread
+    /// count. Records one `dsp.image` span per clip plus a `dsp.batch.size`
+    /// gauge, so batched callers show up in telemetry with the same
+    /// per-clip histograms as the loop they replace.
+    pub fn images<S: AsRef<[f64]> + Sync>(&self, clips: &[S], side: usize) -> Vec<Image> {
         self.telemetry.set_gauge("dsp.batch.size", clips.len() as f64);
-        clips.iter().map(|c| self.image(c.as_ref(), side)).collect()
+        clips.par_iter().map(|c| self.image(c.as_ref(), side)).collect()
     }
 }
 
@@ -171,6 +174,23 @@ mod tests {
         assert_eq!(snap.gauge("dsp.batch.size"), Some(3.0));
         // 3 from the batch + 3 from the comparison loop.
         assert_eq!(snap.histogram("dsp.image").unwrap().count, 6);
+    }
+
+    #[test]
+    fn batched_images_are_thread_count_invariant() {
+        let clips: Vec<Vec<f64>> = (0..7)
+            .map(|k| (0..6000).map(|i| (i as f64 * 0.013 * (k + 1) as f64).sin()).collect())
+            .collect();
+        let p = MelPipeline::compact();
+        let runs: Vec<Vec<Image>> = [1usize, 2, 4]
+            .iter()
+            .map(|&cap| rayon::pool::with_thread_cap(cap, || p.images(&clips, 20)))
+            .collect();
+        assert_eq!(runs[0], runs[1], "1 vs 2 workers");
+        assert_eq!(runs[0], runs[2], "1 vs 4 workers");
+        for (clip, img) in clips.iter().zip(&runs[0]) {
+            assert_eq!(img, &p.image(clip, 20));
+        }
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! 1025 bins each.
 //!
 //! This is the hottest loop of the feature pipeline, so it streams frames
-//! through the packed real-input FFT with reusable window/transform scratch
-//! buffers — no per-frame allocation — and stores the result as one flat
-//! row-major buffer rather than a `Vec` per frame.
+//! through the packed real-input FFT, which windows each frame as it packs
+//! it and writes |X_k|² straight into the output row — no per-frame
+//! allocation. [`Stft::power_spectrogram`] stores the rows as one flat
+//! row-major buffer; [`Stft::for_each_power_frame`] hands each row to a
+//! consumer (the mel filterbank) and stores nothing.
 
 use crate::complex::Complex;
-use crate::fft::Fft;
+use crate::fft::{Fft, FftScratch};
 use crate::window::WindowKind;
 
 /// STFT parameters.
@@ -142,35 +144,44 @@ impl Stft {
         &self.plan
     }
 
-    /// Windows frame `f` of `signal` into `windowed` (len `n_fft`).
-    #[inline]
-    fn window_frame(&self, signal: &[f64], f: usize, windowed: &mut [f64]) {
+    /// Samples of frame `f` (len `n_fft`, before windowing).
+    fn frame<'a>(&self, signal: &'a [f64], f: usize) -> &'a [f64] {
         let start = f * self.params.hop;
-        for (w, (&s, &coeff)) in windowed
-            .iter_mut()
-            .zip(signal[start..start + self.params.n_fft].iter().zip(&self.window))
-        {
-            *w = s * coeff;
-        }
+        &signal[start..start + self.params.n_fft]
     }
 
     /// Complex STFT of `signal`: one `Vec<Complex>` of `n_fft/2 + 1` bins
     /// per frame.
     pub fn transform(&self, signal: &[f64]) -> Vec<Vec<Complex>> {
-        let n_frames = self.params.frames_for(signal.len());
-        let mut out = Vec::with_capacity(n_frames);
-        let mut windowed = vec![0.0; self.params.n_fft];
-        for f in 0..n_frames {
-            self.window_frame(signal, f, &mut windowed);
-            let mut spec = vec![Complex::ZERO; self.params.bins()];
-            self.plan.forward_real_into(&windowed, &mut spec);
-            out.push(spec);
-        }
-        out
+        (0..self.params.frames_for(signal.len()))
+            .map(|f| {
+                let windowed: Vec<f64> =
+                    self.frame(signal, f).iter().zip(&self.window).map(|(s, w)| s * w).collect();
+                self.plan.forward_real(&windowed)
+            })
+            .collect()
     }
 
-    /// Power spectrogram: |STFT|² per bin, streamed through two reused
-    /// scratch buffers (windowed frame + half-spectrum) into a flat buffer.
+    /// Streams the power spectrum |STFT|² of each frame, in frame order,
+    /// through `row(frame_index, bins)` without building the spectrogram.
+    /// One split scratch and one `n_fft/2 + 1`-bin row are reused for
+    /// every frame.
+    pub fn for_each_power_frame(&self, signal: &[f64], mut row: impl FnMut(usize, &[f64])) {
+        let mut scratch = FftScratch::default();
+        let mut power = vec![0.0; self.params.bins()];
+        for f in 0..self.params.frames_for(signal.len()) {
+            self.plan.windowed_power_into(
+                self.frame(signal, f),
+                &self.window,
+                &mut scratch,
+                &mut power,
+            );
+            row(f, &power);
+        }
+    }
+
+    /// Power spectrogram: |STFT|² per bin, each frame transformed straight
+    /// into its row of one flat buffer through a reused split scratch.
     pub fn power_spectrogram(&self, signal: &[f64]) -> Spectrogram {
         let n_frames = self.params.frames_for(signal.len());
         if n_frames == 0 {
@@ -178,14 +189,9 @@ impl Stft {
         }
         let n_bins = self.params.bins();
         let mut data = vec![0.0; n_frames * n_bins];
-        let mut windowed = vec![0.0; self.params.n_fft];
-        let mut spec = vec![Complex::ZERO; n_bins];
+        let mut scratch = FftScratch::default();
         for (f, row) in data.chunks_exact_mut(n_bins).enumerate() {
-            self.window_frame(signal, f, &mut windowed);
-            self.plan.forward_real_into(&windowed, &mut spec);
-            for (r, z) in row.iter_mut().zip(&spec) {
-                *r = z.norm_sqr();
-            }
+            self.plan.windowed_power_into(self.frame(signal, f), &self.window, &mut scratch, row);
         }
         Spectrogram { data, n_frames, n_bins }
     }
@@ -273,6 +279,20 @@ mod tests {
                 assert!((c.norm_sqr() - p).abs() < 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn streamed_frames_equal_the_spectrogram_rows() {
+        let stft = Stft::new(SpectrogramParams { n_fft: 256, hop: 96, window: WindowKind::Hann });
+        let signal = tone(700.0, 22_050.0, 2000);
+        let spec = stft.power_spectrogram(&signal);
+        let mut seen = 0;
+        stft.for_each_power_frame(&signal, |f, row| {
+            assert_eq!(f, seen, "frames must stream in order");
+            assert_eq!(row, spec.frame(f));
+            seen += 1;
+        });
+        assert_eq!(seen, spec.n_frames());
     }
 
     #[test]
