@@ -19,7 +19,6 @@
 pub mod catalog;
 pub mod compute;
 pub mod constants;
-pub mod contention;
 pub mod profile;
 pub mod routine;
 pub mod sensors;
@@ -28,7 +27,6 @@ pub mod wake;
 
 pub use catalog::{rank_hardware, HardwareOption};
 pub use compute::{ComputeModel, Execution};
-pub use contention::CsmaChannel;
 pub use pb_energy::meter::gaussian;
 pub use profile::{CloudServerProfile, EdgeDeviceProfile};
 pub use routine::{CyclePlan, RoutineBuilder, Task};

@@ -99,12 +99,6 @@ impl PowerSystem {
         &self.config.battery
     }
 
-    /// Mutable battery access, for external harvest drivers that bypass
-    /// [`PowerSystem::step`] (e.g. apiary-wide shared-weather simulation).
-    pub fn battery_mut(&mut self) -> &mut Battery {
-        &mut self.config.battery
-    }
-
     /// Total converted solar energy harvested so far.
     pub fn total_harvested(&self) -> Joules {
         self.total_harvested

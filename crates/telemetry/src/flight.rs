@@ -9,14 +9,22 @@
 //! yet the first anomaly leaves a readable black box behind.
 //!
 //! A batch ([`EventSink::record_batch`]) takes each ring's lock once and
-//! writes into recycled slots, so the flood of routine `fault.*` warn
-//! events a faulted sweep produces costs no allocation once the rings
-//! are full. Triggers inside a batch still dump exactly the events up
-//! to and including themselves.
+//! writes into recycled slots, so routine `fault.*` warn events cost no
+//! allocation once the rings are full. Triggers inside a batch still
+//! dump exactly the events up to and including themselves.
+//!
+//! Once an armed recorder has spent its dump budget nothing will read
+//! its rings again, so the trigger that spends it freezes them: every
+//! later event is only counted per severity, and
+//! [`len_by_severity`](FlightRecorderSink::len_by_severity) still
+//! reports what a recorder that kept storing would retain. A faulted
+//! million-client sweep thus pays a classification and a counter
+//! increment for the flood that follows its post-mortem.
 
 use crate::events::{Event, EventBatch, EventSink, RingBufferSink};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Event severity, classified from the event kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,7 +34,10 @@ pub enum Severity {
     /// Degradation en route to recovery (`fault.outage`,
     /// `fault.packet_drop`, `fault.retry`).
     Warn,
-    /// Terminal trouble: `fault.fallback` and every `anomaly.*` kind.
+    /// Terminal trouble: `fault.fallback` (retry exhaustion or a
+    /// brown-out) and every `anomaly.*` kind (e.g. the
+    /// `anomaly.conservation` mismatch `pb sweep` emits). Every error
+    /// event is a post-mortem trigger.
     Error,
 }
 
@@ -34,12 +45,11 @@ impl Severity {
     /// Classifies an event kind. The scheme is prefix-based so new fault
     /// or anomaly kinds inherit sensible severities without registration.
     pub fn classify(kind: &str) -> Severity {
-        if kind.starts_with("anomaly.") || kind == "fault.fallback" {
-            Severity::Error
-        } else if kind.starts_with("fault.") {
-            Severity::Warn
-        } else {
-            Severity::Info
+        match kind.strip_prefix("fault.") {
+            Some("fallback") => Severity::Error,
+            Some(_) => Severity::Warn,
+            None if kind.starts_with("anomaly.") => Severity::Error,
+            None => Severity::Info,
         }
     }
 
@@ -52,23 +62,24 @@ impl Severity {
     }
 }
 
-/// True when an event kind should trip a post-mortem dump: retry
-/// exhaustion / brown-out fallbacks (`fault.fallback`, including
-/// `cause=brownout`) and every `anomaly.*` kind (e.g. the
-/// `anomaly.conservation` mismatch emitted by `pb sweep`).
-pub fn is_trigger(kind: &str) -> bool {
-    kind == "fault.fallback" || kind.starts_with("anomaly.")
-}
-
 /// A bounded per-severity event recorder with anomaly-triggered JSONL
 /// dumps. See the module docs for the retention and trigger model.
 #[derive(Debug)]
 pub struct FlightRecorderSink {
     /// The info, warn and error rings, indexed by [`Severity`].
     rings: [RingBufferSink; 3],
+    /// Events seen per severity, stored or only counted.
+    seen: [AtomicU64; 3],
     dump_path: Option<String>,
     max_dumps: u64,
     dumps: AtomicU64,
+    dump_error: OnceLock<std::io::Error>,
+    /// Set by the trigger that spends the dump budget, while every ring
+    /// is locked: from then on events are counted, not stored. It is
+    /// never cleared and publishes no data, and every store re-reads it
+    /// under a ring lock, so the ring mutexes order it and `Relaxed`
+    /// suffices.
+    counting: AtomicBool,
     triggers: AtomicU64,
     last_trigger: Mutex<Option<&'static str>>,
 }
@@ -82,17 +93,22 @@ impl FlightRecorderSink {
     pub fn new(per_severity: usize) -> Self {
         FlightRecorderSink {
             rings: std::array::from_fn(|_| RingBufferSink::new(per_severity)),
+            seen: Default::default(),
             dump_path: None,
             max_dumps: 0,
             dumps: AtomicU64::new(0),
+            dump_error: OnceLock::new(),
+            counting: AtomicBool::new(false),
             triggers: AtomicU64::new(0),
             last_trigger: Mutex::new(None),
         }
     }
 
     /// Arms auto-dump: the first `max_dumps` trigger events each write
-    /// the merged rings to `path` (later triggers still count but stop
-    /// rewriting, keeping the *first* anomaly's context on disk).
+    /// the merged rings to `path`. The trigger that spends this budget
+    /// freezes the rings at its post-mortem; later events, triggers
+    /// included, are only counted, keeping the *first* anomalies'
+    /// context on disk.
     pub fn with_auto_dump(mut self, path: impl Into<String>, max_dumps: u64) -> Self {
         self.dump_path = Some(path.into());
         self.max_dumps = max_dumps;
@@ -104,9 +120,16 @@ impl FlightRecorderSink {
         self.triggers.load(Ordering::Relaxed)
     }
 
-    /// Number of post-mortem dumps written so far.
+    /// Number of post-mortem dumps successfully written so far. A failed
+    /// write still spends its share of the dump budget; see
+    /// [`dump_error`](Self::dump_error).
     pub fn dumps_written(&self) -> u64 {
         self.dumps.load(Ordering::Relaxed)
+    }
+
+    /// The first I/O error an auto-dump hit, if any.
+    pub fn dump_error(&self) -> Option<&std::io::Error> {
+        self.dump_error.get()
     }
 
     /// Kind of the most recent trigger event, if any fired.
@@ -115,84 +138,127 @@ impl FlightRecorderSink {
         last.map(str::to_string)
     }
 
-    /// The auto-dump path, when armed.
-    pub fn dump_path(&self) -> Option<&str> {
-        self.dump_path.as_deref()
-    }
-
-    /// Retained events per severity ring: `(info, warn, error)`.
+    /// Events per severity ring a recorder that never stops storing
+    /// would retain: `(info, warn, error)`, each `min(seen, capacity)`.
     pub fn len_by_severity(&self) -> (usize, usize, usize) {
-        let [info, warn, error] = &self.rings;
-        (info.len(), warn.len(), error.len())
+        let [info, warn, error] = std::array::from_fn(|i| {
+            let capacity = self.rings[i].capacity();
+            self.seen[i].load(Ordering::Relaxed).min(capacity as u64) as usize
+        });
+        (info, warn, error)
     }
 
     /// The merged rings rendered as a `(t, seq)`-sorted JSONL post-mortem.
+    /// Once the dump budget is spent this is exactly the last post-mortem.
     pub fn dump_jsonl(&self) -> String {
-        let mut events = self.events();
-        events.sort_by(|a, b| a.t_sim.total_cmp(&b.t_sim).then(a.seq.cmp(&b.seq)));
-        let mut out = String::new();
-        for e in &events {
-            e.write_json(&mut out);
-            out.push('\n');
-        }
-        out
+        render(&self.lock_rings())
     }
 
-    /// Writes the post-mortem to `path`; returns the number of lines.
-    pub fn dump_to(&self, path: &str) -> std::io::Result<usize> {
-        let dump = self.dump_jsonl();
-        let lines = dump.lines().count();
-        std::fs::write(path, dump)?;
-        Ok(lines)
+    fn lock_rings(&self) -> [MutexGuard<'_, VecDeque<Event>>; 3] {
+        self.rings.each_ref().map(RingBufferSink::lock)
     }
+
+    /// The locked rings to store into, or `None` once the recorder only
+    /// counts. `counting` flips only while every ring is locked, so the
+    /// re-check under the locks is exact.
+    fn lock_for_store(&self) -> Option<[MutexGuard<'_, VecDeque<Event>>; 3]> {
+        if self.counting.load(Ordering::Relaxed) {
+            return None;
+        }
+        let rings = self.lock_rings();
+        (!self.counting.load(Ordering::Relaxed)).then_some(rings)
+    }
+
+    /// Counts a trigger and, within the dump budget, writes the
+    /// post-mortem. The attempt that spends the budget renders the rings
+    /// and switches to counting under the same locks.
+    fn trigger(&self, kind: &'static str) {
+        let n = self.triggers.fetch_add(1, Ordering::Relaxed);
+        if let Ok(mut last) = self.last_trigger.lock() {
+            *last = Some(kind);
+        }
+        // First-wins within the dump budget: the first `max_dumps`
+        // triggers each attempt a dump, keeping the context of the
+        // earliest anomalies rather than churning the file on every
+        // subsequent fallback.
+        let Some(path) = self.dump_path.as_ref().filter(|_| n < self.max_dumps) else { return };
+        let dump = {
+            let rings = self.lock_rings();
+            if n + 1 == self.max_dumps {
+                self.counting.store(true, Ordering::Relaxed);
+            }
+            render(&rings)
+        };
+        match std::fs::write(path, dump) {
+            Ok(()) => {
+                self.dumps.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => {
+                let _ = self.dump_error.set(e);
+            }
+        }
+    }
+}
+
+/// Locked rings rendered as a `(t, seq)`-sorted JSONL post-mortem.
+fn render(rings: &[MutexGuard<'_, VecDeque<Event>>; 3]) -> String {
+    let mut events: Vec<&Event> = rings.iter().flat_map(|r| r.iter()).collect();
+    events.sort_by(|a, b| a.t_sim.total_cmp(&b.t_sim).then(a.seq.cmp(&b.seq)));
+    let mut out = String::new();
+    for e in events {
+        e.write_json(&mut out);
+        out.push('\n');
+    }
+    out
 }
 
 impl EventSink for FlightRecorderSink {
     fn record(&self, event: Event) {
         let kind = event.kind;
-        self.rings[Severity::classify(kind).index()].record(event);
-        if is_trigger(kind) {
-            self.triggers.fetch_add(1, Ordering::Relaxed);
-            if let Ok(mut last) = self.last_trigger.lock() {
-                *last = Some(kind);
-            }
-            if let Some(path) = &self.dump_path {
-                // First-wins within the dump budget: keep the context of
-                // the earliest anomalies rather than churning the file on
-                // every subsequent fallback.
-                if self.dumps.load(Ordering::Relaxed) < self.max_dumps {
-                    let n = self.dumps.fetch_add(1, Ordering::Relaxed);
-                    if n < self.max_dumps {
-                        let _ = self.dump_to(path);
-                    }
-                }
-            }
+        let severity = Severity::classify(kind);
+        let i = severity.index();
+        self.seen[i].fetch_add(1, Ordering::Relaxed);
+        if let Some(mut rings) = self.lock_for_store() {
+            let ring = &self.rings[i];
+            ring.push_recycled(&mut rings[i], (event.t_sim, event.seq, kind), &event.fields);
+        }
+        if severity == Severity::Error {
+            self.trigger(kind);
         }
     }
 
     fn record_batch(&self, first_seq: u64, batch: &EventBatch) {
-        // The rings are locked in index order on the first routed event
-        // and held until a trigger: the trigger takes the `record` path,
-        // whose dump must read the rings.
+        // The rings stay locked from the first stored event to the next
+        // trigger, whose dump must read them. Once the recorder counts,
+        // the rest of the batch only adds to the totals.
+        let mut seen = [0u64; 3];
         let mut locked = None;
         for (seq, (t_sim, kind, fields)) in (first_seq..).zip(batch.iter()) {
-            if is_trigger(kind) {
-                locked = None;
-                self.record(Event { t_sim, seq, kind, fields: fields.to_vec() });
-                continue;
+            let severity = Severity::classify(kind);
+            let i = severity.index();
+            seen[i] += 1;
+            if let Some(rings) = locked.get_or_insert_with(|| self.lock_for_store()) {
+                self.rings[i].push_recycled(&mut rings[i], (t_sim, seq, kind), fields);
             }
-            let guards = locked.get_or_insert_with(|| self.rings.each_ref().map(|r| r.lock()));
-            let i = Severity::classify(kind).index();
-            self.rings[i].push_recycled(&mut guards[i], (t_sim, seq, kind), fields);
+            if severity == Severity::Error {
+                locked = None;
+                self.trigger(kind);
+            }
+        }
+        for (total, n) in self.seen.iter().zip(seen) {
+            total.fetch_add(n, Ordering::Relaxed);
         }
     }
 
+    /// The events the rings hold, in `seq` order. Once the dump budget is
+    /// spent these are exactly the last post-mortem's.
     fn events(&self) -> Vec<Event> {
         let mut all: Vec<Event> = self.rings.iter().flat_map(|r| r.events()).collect();
         all.sort_by_key(|e| e.seq);
         all
     }
 
+    /// Number of events the rings hold; see [`EventSink::events`].
     fn len(&self) -> usize {
         self.rings.iter().map(|r| r.len()).sum()
     }
@@ -244,9 +310,8 @@ mod tests {
         assert_eq!(Severity::classify("fault.fallback"), Severity::Error);
         assert_eq!(Severity::classify("anomaly.conservation"), Severity::Error);
         assert_eq!(Severity::classify("anomaly.brownout"), Severity::Error);
-        assert!(is_trigger("fault.fallback"));
-        assert!(is_trigger("anomaly.conservation"));
-        assert!(!is_trigger("fault.retry"));
+        assert_eq!(Severity::classify("fault.outage"), Severity::Warn);
+        assert_eq!(Severity::classify("faults.retry"), Severity::Info);
     }
 
     #[test]
@@ -360,6 +425,78 @@ mod tests {
         assert_eq!(batched.dump_jsonl(), single.dump_jsonl());
         let on_disk = std::fs::read_to_string(path("batched.jsonl")).expect("dump written");
         assert_eq!(on_disk, std::fs::read_to_string(path("single.jsonl")).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// After the trigger that spends the dump budget the rings freeze at
+    /// the post-mortem, yet every summary reads as for a recorder that
+    /// kept storing the same stream, per event and batched.
+    #[test]
+    fn spent_budget_counts_like_a_storing_recorder() {
+        use crate::events::Value;
+        let kinds =
+            ["des.cycle_done", "fault.retry", "fault.outage", "fault.retry", "fault.fallback"];
+        let stream: Vec<(f64, &'static str)> = (0..120u64)
+            .map(|i| {
+                let kind = if i == 61 { "anomaly.brownout" } else { kinds[i as usize % 5] };
+                ((i % 11) as f64, kind)
+            })
+            .collect();
+        let dir = std::env::temp_dir().join(format!("pb_flight_counting_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("postmortem.jsonl").to_string_lossy().into_owned();
+
+        let armed = FlightRecorderSink::new(4).with_auto_dump(&path, 1);
+        let storing = FlightRecorderSink::new(4);
+        let (per_event, batched) = stream.split_at(50);
+        for sink in [&armed, &storing] {
+            for (seq, &(t_sim, kind)) in (0u64..).zip(per_event) {
+                sink.record(Event { t_sim, seq, kind, fields: vec![("v", Value::U64(seq))] });
+            }
+            let mut batch = EventBatch::new();
+            let mut first_seq = per_event.len() as u64;
+            for chunk in batched.chunks(9) {
+                for (seq, &(t_sim, kind)) in (first_seq..).zip(chunk) {
+                    batch.push(t_sim, kind, [("v", Value::U64(seq))]);
+                }
+                sink.record_batch(first_seq, &batch);
+                first_seq += batch.len() as u64;
+                batch.clear();
+            }
+        }
+
+        assert!(armed.triggers_fired() > 20, "the stream must run well past its first trigger");
+        assert_eq!(armed.dumps_written(), 1);
+        assert_eq!(armed.triggers_fired(), storing.triggers_fired());
+        assert_eq!(armed.last_trigger().as_deref(), Some("fault.fallback"));
+        assert_eq!(armed.last_trigger(), storing.last_trigger());
+        assert_eq!(armed.len_by_severity(), storing.len_by_severity());
+        assert_eq!(armed.len_by_severity(), (4, 4, 4));
+        let on_disk = std::fs::read_to_string(&path).expect("post-mortem written");
+        assert_eq!(armed.dump_jsonl(), on_disk);
+        assert_eq!(armed.len(), on_disk.lines().count());
+        assert_ne!(storing.dump_jsonl(), on_disk, "the storing recorder moved on");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A post-mortem that cannot be written is not reported as written;
+    /// it still spends the budget, so later triggers do not retry it.
+    #[test]
+    fn failed_dump_keeps_its_error_and_spends_the_budget() {
+        let dir = std::env::temp_dir().join(format!("pb_flight_missing_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("postmortem.jsonl");
+        let sink = FlightRecorderSink::new(4).with_auto_dump(path.to_string_lossy(), 1);
+        sink.record(ev(1.0, 0, "fault.fallback"));
+        assert_eq!(sink.triggers_fired(), 1);
+        assert_eq!(sink.dumps_written(), 0);
+        assert_eq!(sink.dump_error().map(std::io::Error::kind), Some(std::io::ErrorKind::NotFound));
+
+        std::fs::create_dir_all(&dir).unwrap();
+        sink.record(ev(2.0, 1, "fault.fallback"));
+        assert_eq!(sink.triggers_fired(), 2);
+        assert_eq!(sink.dumps_written(), 0);
+        assert!(!path.exists(), "a spent budget does not retry the write");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

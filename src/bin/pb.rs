@@ -66,21 +66,28 @@ fn main() {
         call_cmd(rest);
         return;
     }
-    let flags = parse_flags(rest.iter().cloned());
-    match command {
-        "tables" => tables(),
-        "recommend" => recommend(&flags),
-        "sweep" => sweep(&flags),
-        "serve" => serve(&flags),
-        "tune" => tune(&flags),
-        "alert" => alert(&flags),
-        "help" | "--help" | "-h" => usage(),
+    // Each command names the flags it reads; any other flag is an error,
+    // so a typo or a retired flag cannot silently run something else.
+    type Command = fn(&HashMap<String, String>);
+    let (run, accepted): (Command, &str) = match command {
+        "tables" => (|_| tables(), ""),
+        "recommend" => (recommend, "hives cap service losses backend"),
+        "sweep" => (
+            sweep,
+            "backend cap from to step service losses seed metrics trace faults causal flight \
+             chrome openmetrics",
+        ),
+        "serve" => (serve, "listen unix queue workers metrics openmetrics"),
+        "tune" => (tune, "battery-wh"),
+        "alert" => (alert, "accuracy k"),
+        "help" | "--help" | "-h" => (|_| usage(), ""),
         other => {
             eprintln!("unknown command: {other}\n");
             usage();
             std::process::exit(2);
         }
-    }
+    };
+    run(&parse_flags(command, rest, accepted));
 }
 
 fn usage() {
@@ -93,7 +100,7 @@ fn usage() {
     println!("  sweep [--backend B] [--cap N] [--from N] [--to N] [--step N]");
     println!("        [--service svm|cnn|cnn-int8] [--losses] [--seed S]");
     println!("        [--metrics] [--trace FILE] [--faults SPEC] [--causal]");
-    println!("        [--flight FILE | --no-flight] [--chrome FILE] [--openmetrics FILE]");
+    println!("        [--flight FILE] [--chrome FILE] [--openmetrics FILE]");
     println!("                                  Fig. 7 population sweep; --metrics");
     println!("                                  prints the telemetry table, --trace");
     println!("                                  writes a JSONL simulation event log");
@@ -106,10 +113,8 @@ fn usage() {
     println!("                                  (one trace per client service cycle);");
     println!("                                  --faults without --trace records into a");
     println!("                                  bounded flight recorder that dumps FILE");
-    println!("                                  (default pb-flight.jsonl) on anomalies;");
-    println!("                                  --no-flight opts out (skips recording");
-    println!("                                  the per-retry fault.* events, about");
-    println!("                                  1.4x faster at 10^6 clients);");
+    println!("                                  (default pb-flight.jsonl) at the first");
+    println!("                                  anomaly, then only counts events;");
     println!("                                  --chrome exports a Perfetto-loadable");
     println!("                                  span view, --openmetrics the metrics");
     println!("  trace FILE [--top K] [--chrome FILE]");
@@ -134,11 +139,16 @@ fn usage() {
     println!("                                  shed retry-after up to N tries (default 5)");
 }
 
-fn parse_flags(args: impl Iterator<Item = String>) -> HashMap<String, String> {
+/// Parses `--key [value]` pairs; a key not among the space-separated
+/// `accepted` names fails.
+fn parse_flags(command: &str, args: &[String], accepted: &str) -> HashMap<String, String> {
     let mut flags = HashMap::new();
-    let mut args = args.peekable();
+    let mut args = args.iter().cloned().peekable();
     while let Some(arg) = args.next() {
         if let Some(key) = arg.strip_prefix("--") {
+            if !accepted.split_whitespace().any(|a| a == key) {
+                fail(&format!("pb {command} does not take --{key} (see pb help)"));
+            }
             let value = if args.peek().is_some_and(|v| !v.starts_with("--")) {
                 args.next().unwrap()
             } else {
@@ -272,13 +282,11 @@ fn sweep(flags: &HashMap<String, String>) {
     // and either way the simulation results are bit-identical. Faulted
     // sweeps without an explicit trace default to the bounded flight
     // recorder, which auto-dumps a post-mortem JSONL on anomalies
-    // (brown-out, retry exhaustion, conservation mismatch). Without
-    // `--causal` no sink changes the DES path: it keeps its
-    // shape-memoized replay. The recorder still takes every untagged
-    // `fault.*` event (batched once per server cycle), so `--no-flight`
-    // opts out for throughput-sensitive runs.
+    // (brown-out, retry exhaustion, conservation mismatch) and only
+    // counts the events after it. Without `--causal` no sink changes the
+    // DES path: it keeps its shape-memoized replay.
     let wants_events = trace_path.is_some() || chrome_path.is_some();
-    let flight = if !fault_plan.is_none() && !wants_events && !flags.contains_key("no-flight") {
+    let flight = if !fault_plan.is_none() && !wants_events {
         Some(std::sync::Arc::new(
             FlightRecorderSink::new(4096).with_auto_dump(flight_path.clone(), 1),
         ))
@@ -423,12 +431,13 @@ fn sweep(flags: &HashMap<String, String>) {
             error,
             fr.triggers_fired()
         );
-        match (fr.dumps_written(), fr.last_trigger()) {
-            (n, Some(kind)) if n > 0 => {
-                println!("  post-mortem   : {flight_path} (first trigger: {kind})");
-            }
-            (_, Some(kind)) => println!("  trigger seen  : {kind} (dump budget exhausted)"),
-            _ => println!("  no anomalies  : nothing dumped"),
+        if let Some(e) = fr.dump_error() {
+            fail(&format!("cannot write post-mortem to {flight_path}: {e}"));
+        }
+        // One armed dump: any trigger wrote it, or failed above.
+        match fr.last_trigger() {
+            Some(kind) => println!("  post-mortem   : {flight_path} (first trigger: {kind})"),
+            None => println!("  no anomalies  : nothing dumped"),
         }
     }
 }
@@ -443,7 +452,7 @@ fn trace_cmd(args: &[String]) {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         fail("trace needs a JSONL file path: pb trace FILE [--top K] [--chrome FILE]");
     };
-    let flags = parse_flags(args[1..].iter().cloned());
+    let flags = parse_flags("trace", &args[1..], "top chrome");
     let top = get(&flags, "top", 5usize);
     let jsonl =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
@@ -581,7 +590,7 @@ fn call_cmd(args: &[String]) {
     let Some(request) = args.get(1).filter(|a| !a.starts_with("--")) else {
         fail("call needs a JSON request, e.g. '{\"op\":\"status\"}'");
     };
-    let flags = parse_flags(args[2..].iter().cloned());
+    let flags = parse_flags("call", &args[2..], "attempts");
     let attempts = get(&flags, "attempts", 5u32);
     if attempts == 0 {
         fail("--attempts must be at least 1");
